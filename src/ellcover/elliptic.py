@@ -24,8 +24,11 @@ which turns the slowly convergent double sum into a single sum over rows
 whose terms decay like |q|^(2n), q = exp(i*pi*omega2/omega1).  The basis is
 Gauss-reduced internally first, so Im(tau) >= sqrt(3)/2 and a rigorous
 geometric tail bound picks the number of rows from the requested precision.
-A brute-force truncated lattice sum is kept as an independent cross-check in
-`elliptic_reference`.
+With v = pi*z/q1 reflected into Im v >= 0, every row is rational in E*q^(2n)
+or G*q^(2n-2), E = exp(2iv), G = exp(2i*(pi*tau - v)) (DLMF 23.8): wp, wp' and
+zeta share one kernel of two exponentials per point, run in blocks that keep
+each points-by-rows temporary near 1 MB.  A brute-force truncated lattice sum
+is kept as an independent cross-check in `elliptic_reference`.
 
 Half-period representatives are fixed once and indexed 0..3:
 
@@ -39,6 +42,7 @@ immutable and safe for concurrent read-only use.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -58,6 +62,9 @@ POLE_EXCLUSION_FACTOR = 1e-3
 
 _MAX_ROWS = 512
 
+#: Values per points-by-rows temporary in `Lattice._series` (1 MB of complex128).
+_BLOCK_ELEMS = 1 << 16
+
 
 class HalfPeriodIndex(IntEnum):
     """Index of the four fixed points of z -> -z on the torus."""
@@ -76,29 +83,14 @@ class QuasiPeriods:
     eta2: complex
 
 
-def _csc2(w):
-    """1/sin(w)^2, computed from the half-plane-safe exponential form."""
-    w = np.asarray(w, dtype=complex)
-    ws = np.where(w.imag >= 0.0, w, -w)
-    s = np.exp(2j * ws)
-    return -4.0 * s / (1.0 - s) ** 2
-
-
-def _cot(w):
-    """cos(w)/sin(w), stable for large |Im w|."""
-    w = np.asarray(w, dtype=complex)
-    sgn = np.where(w.imag >= 0.0, 1.0, -1.0)
-    s = np.exp(2j * sgn * w)
-    return -1j * sgn * (1.0 + s) / (1.0 - s)
-
-
 def _gauss_reduce(p1: complex, p2: complex) -> tuple[complex, complex]:
     """Return a reduced, positively oriented basis of the lattice Z*p1 + Z*p2."""
     for _ in range(256):
         if abs(p1) > abs(p2):
             p1, p2 = p2, p1
         t = round((p2 * p1.conjugate()).real / abs(p1) ** 2)
-        if t == 0:
+        # a tie (|p2 - t*p1| = |p2|, as on hexagonal lattices) is already reduced
+        if t == 0 or abs(p2 - t * p1) >= abs(p2):
             break
         p2 = p2 - t * p1
     else:  # pragma: no cover - reduction always terminates
@@ -114,12 +106,24 @@ def _inverse_basis(p1: complex, p2: complex):
     return (p2.imag / det, -p2.real / det, -p1.imag / det, p1.real / det)
 
 
+def _split(arr: np.ndarray, p1: complex, p2: complex):
+    """Reduce arr into the centered cell of the basis (p1, p2); return the
+    representative and the integer shift coordinates."""
+    c11, c12, c21, c22 = _inverse_basis(p1, p2)
+    m = np.round(c11 * arr.real + c12 * arr.imag)
+    n = np.round(c21 * arr.real + c22 * arr.imag)
+    return arr - m * p1 - n * p2, m, n
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Rank-2 period lattice spanned by 2*omega1 and 2*omega2.
 
-    `precision` is the target absolute evaluation error; it is clamped to
-    the f64 floor of 1e-12.
+    `precision` (clamped to the f64 floor of 1e-12) bounds the error of a
+    value f of wp, wp' or zeta at a point of the reduced cell by
+    precision * (|f| + (pi/L)^k), where L is the shortest period and k is
+    2, 3 or 1 respectively; half-periods, cell edges and points just outside
+    the pole-exclusion radius included.
     """
 
     omega1: complex
@@ -129,6 +133,8 @@ class Lattice:
     def __post_init__(self):
         w1 = complex(self.omega1)
         w2 = complex(self.omega2)
+        if not (cmath.isfinite(w1) and cmath.isfinite(w2) and math.isfinite(self.precision)):
+            raise ValueError("half-periods and precision must be finite")
         if w1 == 0 or w2 == 0 or not (w2 / w1).imag > 0:
             raise ValueError("need Im(omega2/omega1) > 0 for an oriented basis")
         if not self.precision > 0:
@@ -159,14 +165,6 @@ class Lattice:
         return POLE_EXCLUSION_FACTOR * self.shortest_vector
 
     @cached_property
-    def _inv_given(self):
-        return _inverse_basis(*self.periods)
-
-    @cached_property
-    def _inv_reduced(self):
-        return _inverse_basis(*self._reduced)
-
-    @cached_property
     def _tau(self) -> complex:
         q1, q2 = self._reduced
         return q2 / q1
@@ -187,28 +185,28 @@ class Lattice:
         return max(n, 6)
 
     @cached_property
-    def _row_offsets(self) -> np.ndarray:
-        """pi*tau*n for n = 1..rows (Im parts strictly increasing)."""
-        return math.pi * self._tau * np.arange(1, self._rows + 1)
+    def _q2n(self) -> np.ndarray:
+        """q^(2n) = exp(2i*pi*tau*n) for n = 0..rows."""
+        return np.exp(TWO_PI_I * self._tau * np.arange(self._rows + 1))
 
     @cached_property
-    def _row_csc2_sum(self) -> complex:
-        return complex(np.sum(_csc2(self._row_offsets)))
+    def _block(self) -> int:
+        """Points per block of `_series`: a block's temporaries hold _BLOCK_ELEMS values."""
+        return max(1, _BLOCK_ELEMS // (2 * self._rows + 1))
 
     @cached_property
-    def _zeta_linear(self) -> complex:
-        """Coefficient of z in the resummed zeta series."""
-        q1, _ = self._reduced
-        return (math.pi / q1) ** 2 * (1.0 / 3.0 + 2.0 * self._row_csc2_sum)
+    def _row_constant(self) -> complex:
+        """1/3 + 2 * sum of csc^2(n*pi*tau) over n = 1..rows, the constant of
+        -wp and the z coefficient of zeta, in units of (pi/q1)^2."""
+        s = self._q2n[1:]
+        return 1.0 / 3.0 + complex(np.sum(-8.0 * s / (1.0 - s) ** 2))
 
     @cached_property
     def _reduced_quasi(self) -> tuple[complex, complex]:
         """Quasi-period constants of the *reduced* basis vectors."""
         q1, q2 = self._reduced
-        return (
-            2.0 * complex(self._zeta_cell(np.asarray(q1 / 2.0, complex))),
-            2.0 * complex(self._zeta_cell(np.asarray(q2 / 2.0, complex))),
-        )
+        (half,) = self._series(np.array([q1 / 2.0, q2 / 2.0]), ("zeta",))
+        return 2.0 * complex(half[0]), 2.0 * complex(half[1])
 
     @cached_property
     def _quasi(self) -> QuasiPeriods:
@@ -225,59 +223,62 @@ class Lattice:
 
     # -- reduction ----------------------------------------------------------
 
-    def _split(self, z: np.ndarray):
-        """Reduce into the centered cell of the reduced basis; return the
-        representative and the integer shift coordinates."""
-        q1, q2 = self._reduced
-        c11, c12, c21, c22 = self._inv_reduced
-        a = c11 * z.real + c12 * z.imag
-        b = c21 * z.real + c22 * z.imag
-        m = np.round(a)
-        n = np.round(b)
-        return z - m * q1 - n * q2, m, n
-
     def _cell_point(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Reduce finite, off-pole z into the centered cell of the reduced basis:
+        (representative, integer shift coordinates, whether z was a scalar)."""
         arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        zr, m, n = self._split(arr)
-        return zr, m, n, scalar
-
-    def _require_off_poles(self, zr: np.ndarray):
+        if not np.isfinite(arr).all():
+            raise ValueError("evaluation points must be finite")
+        zr, m, n = _split(arr, *self._reduced)
         dist = np.abs(zr)
         if np.any(dist < self.pole_radius):
-            worst = float(np.min(dist))
             raise PoleProximity(
-                f"point within {worst:.3e} of a lattice point "
+                f"point within {float(np.min(dist)):.3e} of a lattice point "
                 f"(exclusion radius {self.pole_radius:.3e})"
             )
+        return zr, m, n, arr.ndim == 0
 
     # -- resummed series (arguments already reduced) -------------------------
 
-    def _wp_cell(self, zr: np.ndarray) -> np.ndarray:
-        q1, _ = self._reduced
-        v = (math.pi / q1) * zr
-        w = v[..., None]
-        pairs = _csc2(w - self._row_offsets) + _csc2(w + self._row_offsets)
-        acc = _csc2(v) - 1.0 / 3.0 + pairs.sum(axis=-1) - 2.0 * self._row_csc2_sum
-        return (math.pi / q1) ** 2 * acc
+    def _series(self, zr: np.ndarray, want: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+        """The functions named in `want` ("wp", "wp_prime", "zeta"), in that
+        order, at reduced points zr.
 
-    def _wp_prime_cell(self, zr: np.ndarray) -> np.ndarray:
-        q1, _ = self._reduced
-        v = (math.pi / q1) * zr
-        w = v[..., None]
-        wm = w - self._row_offsets
-        wp_ = w + self._row_offsets
-        pairs = _csc2(wm) * _cot(wm) + _csc2(wp_) * _cot(wp_)
-        acc = _csc2(v) * _cot(v) + pairs.sum(axis=-1)
-        return -2.0 * (math.pi / q1) ** 3 * acc
-
-    def _zeta_cell(self, zr: np.ndarray) -> np.ndarray:
-        q1, _ = self._reduced
-        v = (math.pi / q1) * zr
-        w = v[..., None]
-        pairs = _cot(w - self._row_offsets) + _cot(w + self._row_offsets)
-        acc = _cot(v) + pairs.sum(axis=-1)
-        return (math.pi / q1) * acc + self._zeta_linear * zr
+        Row n = -rows..rows contributes csc^2 and cot of v + n*pi*tau, with
+        v = pi*zr/q1 reflected into Im v >= 0 (parity undoes it).  The row's
+        exponential is s = E*q^(2n) for n >= 0 and s = G*q^(2|n|-2) for n < 0,
+        E = exp(2iv), G = exp(2i(pi*tau - v)); with t = s/(1 - s) and
+        d = 1/(1 - s), csc^2 = -4*t*d and cot = -/+ i*(1 + 2t) (n >= 0 / n < 0).
+        """
+        k = math.pi / self._reduced[0]
+        rows, q2n = self._rows, self._q2n
+        z = zr.reshape(-1)
+        v = k * z
+        parity = np.where(np.signbit(v.imag), -1.0, 1.0)
+        v *= parity
+        sums = {name: np.empty(z.shape, complex) for name in want}
+        for lo in range(0, z.size, self._block):
+            w = 2j * v[lo : lo + self._block]
+            blk = slice(lo, lo + w.size)
+            s = np.empty((2 * rows + 1, w.size), complex)
+            np.multiply(q2n[:, None], np.exp(w), out=s[: rows + 1])
+            np.multiply(q2n[:-1, None], np.exp(TWO_PI_I * self._tau - w), out=s[rows + 1 :])
+            d = 1.0 / (1.0 - s)
+            t = np.multiply(s, d, out=s)
+            if "zeta" in sums:
+                sums["zeta"][blk] = t[: rows + 1].sum(axis=0) - t[rows + 1 :].sum(axis=0)
+            td = np.multiply(t, d, out=d)
+            if "wp" in sums:
+                sums["wp"][blk] = td.sum(axis=0)
+            if "wp_prime" in sums:
+                u = np.multiply(td, 2.0 * t + 1.0, out=t)
+                sums["wp_prime"][blk] = u[: rows + 1].sum(axis=0) - u[rows + 1 :].sum(axis=0)
+        finish = {
+            "wp": lambda a: -(k**2) * (4.0 * a + self._row_constant),
+            "wp_prime": lambda a: parity * (-8j * k**3) * a,
+            "zeta": lambda a: parity * (-1j * k) * (1.0 + 2.0 * a) + k**2 * self._row_constant * z,
+        }
+        return tuple(finish[name](sums[name]).reshape(zr.shape) for name in want)
 
 
 def half_period(lattice: Lattice, index: HalfPeriodIndex | int) -> complex:
@@ -294,28 +295,21 @@ def reduce(lattice: Lattice, z):
     (2*omega1, 2*omega2) as given (no internal re-basing).
     """
     arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    p1, p2 = lattice.periods
-    c11, c12, c21, c22 = lattice._inv_given
-    a = c11 * arr.real + c12 * arr.imag
-    b = c21 * arr.real + c22 * arr.imag
-    out = arr - np.round(a) * p1 - np.round(b) * p2
-    return complex(out) if scalar else out
+    out, _, _ = _split(arr, *lattice.periods)
+    return complex(out) if arr.ndim == 0 else out
 
 
 def wp(lattice: Lattice, z):
     """Weierstrass P-function. Raises PoleProximity near lattice points."""
     zr, _, _, scalar = lattice._cell_point(z)
-    lattice._require_off_poles(zr)
-    out = lattice._wp_cell(zr)
+    (out,) = lattice._series(zr, ("wp",))
     return complex(out) if scalar else out
 
 
 def wp_prime(lattice: Lattice, z):
     """Derivative of the P-function (odd)."""
     zr, _, _, scalar = lattice._cell_point(z)
-    lattice._require_off_poles(zr)
-    out = lattice._wp_prime_cell(zr)
+    (out,) = lattice._series(zr, ("wp_prime",))
     return complex(out) if scalar else out
 
 
@@ -326,9 +320,9 @@ def zeta(lattice: Lattice, z):
     correction m*eta(q1) + n*eta(q2) for the reduced basis.
     """
     zr, m, n, scalar = lattice._cell_point(z)
-    lattice._require_off_poles(zr)
     er1, er2 = lattice._reduced_quasi
-    out = lattice._zeta_cell(zr) + m * er1 + n * er2
+    (out,) = lattice._series(zr, ("zeta",))
+    out = out + m * er1 + n * er2
     return complex(out) if scalar else out
 
 

@@ -124,6 +124,24 @@ def test_pole_proximity_is_numeric_error():
     assert b"error:" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify-kdv", "--omega1", "3.141592653589793", "--omega2", "3.141592653589793i",
+         "--lambda", "nan"),
+        ("verify-kdv", "--omega1", "3.141592653589793", "--omega2", "3.141592653589793i",
+         "--x0", "nan"),
+        ("legendre", "--omega1", "0.5", "--omega2", "0.5i", "--precision", "inf"),
+    ],
+    ids=["lambda-nan", "x0-nan", "precision-inf"],
+)
+def test_non_finite_input_is_usage_error(command):
+    res = run_cli(*command)
+    assert res.returncode == 2
+    assert b"finite" in res.stderr
+    assert res.stdout == b""
+
+
 def test_csv_format():
     res = run_cli("check-cover", "--case", "kdv", "--n", "3", "--d", "1", "--g", "2",
                   "--rho", "1", "--m", "1", "--gamma", "2,1,1,1", "--format", "csv")

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import interior_points, random_lattice
+from ellcover import elliptic_reference as ref
 from ellcover.elliptic import (
     HalfPeriodIndex,
     Lattice,
@@ -29,6 +31,26 @@ def test_lattice_rejects_degenerate_basis():
         Lattice(0.5, -0.5j)  # wrong orientation
     with pytest.raises(ValueError):
         Lattice(0.5, 0.5j, precision=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"precision": math.inf}, {"precision": math.nan}, {"omega1": math.nan},
+     {"omega2": complex(0.0, math.inf)}],
+    ids=["precision-inf", "precision-nan", "omega1-nan", "omega2-inf"],
+)
+def test_lattice_rejects_non_finite_input(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        Lattice(**{"omega1": 0.5, "omega2": 0.5j, **kwargs})
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, 1e3])
+def test_gauss_reduction_terminates_on_hexagonal_ties(scale):
+    # |p2 - p1| = |p2| on these lattices, and rounding used to cycle the reduction
+    lat = Lattice(scale, scale * cmath.exp(1j * math.pi / 3))
+    q1, q2 = lat._reduced
+    assert abs(q1) <= abs(q2) * (1 + 1e-12)
+    assert abs((q2 * q1.conjugate()).real) <= 0.5 * abs(q1) ** 2 * (1 + 1e-12)
 
 
 def test_precision_floor_is_enforced(square):
@@ -106,6 +128,18 @@ def test_wp_pole_proximity(square):
         wp_prime(square, 1.0 + 1e-5j)  # next to the lattice point 1
     with pytest.raises(PoleProximity):
         zeta(square, 5e-4 + 5e-4j)
+
+
+@pytest.mark.parametrize("f", [wp, wp_prime, zeta])
+@pytest.mark.parametrize(
+    "z",
+    [math.nan, math.inf, complex(0.1, math.nan), complex(-math.inf, 0.2),
+     np.array([[0.1 + 0.2j, 0.3j], [math.nan, 0.2]])],
+    ids=["nan", "inf", "nan-imag", "inf-real", "array-with-nan"],
+)
+def test_non_finite_points_are_rejected(square, f, z):
+    with pytest.raises(ValueError, match="finite"):
+        f(square, z)
 
 
 def test_wp_prime_matches_difference_quotient(square):
@@ -244,3 +278,95 @@ def test_quasi_period_additivity_in_skew_basis():
     # eta is additive over the lattice: eta(p2 + 2*p1) = eta2 + 2*eta1
     assert abs(qb.eta2 - (qa.eta2 + 2 * qa.eta1)) < 1e-10
     assert abs(qb.eta1 - qa.eta1) < 1e-12
+
+
+# -- the resummed kernel on hard lattices --------------------------------------
+
+_HEX = cmath.exp(1j * math.pi / 3)
+
+#: (omega1, omega2, precision); Gauss reduction turns "skew" into Im(tau) ~ 1.
+HARD_LATTICES = {
+    "scale-1e-3": (1e-3, 1e-3j, 1e-12),
+    "scale-1e3": (1e3, 1e3j, 1e-12),
+    "im-tau-50": (0.5, 25j, 1e-12),
+    "im-tau-300": (0.5, 150j, 1e-12),
+    "skew-7.3+0.01i": (0.5, 0.5 * (7.3 + 0.01j), 1e-12),
+    "hexagonal": (0.5, 0.5 * _HEX, 1e-12),
+    "hexagonal-1e-3": (1e-3, 1e-3 * _HEX, 1e-12),
+    "hexagonal-precision-1e-6": (0.5, 0.5 * _HEX, 1e-6),
+}
+
+#: each function with its brute-force sum, that sum's remainder bound, and the
+#: power k of the scale (pi/shortest period)^k that normalises its error
+_KERNEL_FUNCS = (
+    (wp, ref.wp_sum, ref.wp_sum_remainder, 2),
+    (wp_prime, ref.wp_prime_sum, ref.wp_prime_sum_remainder, 3),
+    (zeta, ref.zeta_sum, ref.zeta_sum_remainder, 1),
+)
+
+
+def _hard_points(lat):
+    """Cell edges, the reflection line Im(pi*z/q1) = 0, the three half-periods
+    (where wp' = 0) and points at 1.01 times the pole radius, in the reduced
+    basis q1, q2."""
+    q1, q2 = lat._reduced
+    cell = [(0.5, 0.3), (-0.2, 0.5), (0.5, -0.5), (-0.5, 0.5),
+            (0.1, 0.0), (0.37, 0.0), (-0.25, 0.0),
+            (0.5, 0.0), (0.0, 0.5), (0.5, 0.5),
+            (0.21, 0.13), (-0.33, 0.41)]
+    near = [1.01 * lat.pole_radius * cmath.exp(1j * th) for th in (0.0, 0.7, 2.0, -1.3)]
+    return np.array([a * q1 + b * q2 for a, b in cell] + near)
+
+
+def _theta_oracle(mp, lat, z):
+    """wp, wp', zeta from the q-series of theta_1 (DLMF 23.6.8-23.6.9) at 30 digits."""
+    w1 = mp.mpc(lat.omega1)
+    q = mp.exp(1j * mp.pi * mp.mpc(lat.omega2) / w1)
+    c = mp.pi / (2 * w1)
+    v = c * mp.mpc(z)
+    th0, th1, th2, th3 = (mp.jtheta(1, v, q, k) for k in range(4))
+    eta = -(mp.pi**2 / (12 * w1)) * mp.jtheta(1, 0, q, 3) / mp.jtheta(1, 0, q, 1)
+    l1, l2, l3 = th1 / th0, th2 / th0, th3 / th0
+    return (
+        complex(-eta / w1 - c**2 * (l2 - l1**2)),
+        complex(-(c**3) * (l3 - 3 * l2 * l1 + 2 * l1**3)),
+        complex(eta * mp.mpc(z) / w1 + c * l1),
+    )
+
+
+@pytest.mark.parametrize("omega1, omega2, precision", list(HARD_LATTICES.values()),
+                         ids=list(HARD_LATTICES))
+def test_kernel_on_hard_lattices(omega1, omega2, precision):
+    lat = Lattice(omega1, omega2, precision)
+    scale = math.pi / lat.shortest_vector
+    pts = _hard_points(lat)
+
+    # a 2-D input longer than one block, not a multiple of it, against scalars
+    grid = np.tile(pts, (lat._block // pts.size + 2, 1))
+    assert grid.size > lat._block and grid.size % lat._block
+    scalars = {}
+    for f, _, _, k in _KERNEL_FUNCS:
+        scalars[f] = np.array([f(lat, complex(z)) for z in pts])
+        got = f(lat, grid)
+        assert got.shape == grid.shape
+        assert np.all(np.abs(got - scalars[f]) <= 1e-14 * (np.abs(scalars[f]) + scale**k))
+
+    # brute-force lattice sums over a box of the reduced basis, which must
+    # reach past |z|; the slack covers the rounding of both sums
+    q1, q2 = lat._reduced
+    box = Lattice(q1 / 2, q2 / 2)
+    d0 = ref._boundary_distance(box)
+    for i, z in enumerate(pts):
+        extent = max(48, math.ceil(2 * abs(z) / d0))
+        for f, brute, remainder, k in _KERNEL_FUNCS:
+            got = scalars[f][i]
+            bound = remainder(box, z, extent) + lat.tolerance * (abs(got) + scale**k)
+            assert abs(got - brute(box, z, extent)) <= bound, (f.__name__, z)
+
+    # the documented contract: error <= precision * (|f| + (pi/shortest period)^k)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for i, z in enumerate(pts):
+        want = _theta_oracle(mpmath, lat, z)
+        for (f, _, _, k), w in zip(_KERNEL_FUNCS, want):
+            assert abs(scalars[f][i] - w) <= lat.tolerance * (abs(w) + scale**k), (f.__name__, z)
