@@ -1,18 +1,12 @@
 """Toolkit for cover invariants over an elliptic curve and the elliptic
-function numerics that verify their flow periodicity at genus 1."""
+function numerics that verify their flow periodicity at genus 1.
 
-from .elliptic import (
-    HalfPeriodIndex,
-    Lattice,
-    QuasiPeriods,
-    half_period,
-    legendre_defect,
-    quasi_periods,
-    reduce,
-    wp,
-    wp_prime,
-    zeta,
-)
+The numeric names (from `elliptic` and `kdv`) are loaded on first access,
+so importing the package, or using only its integer layers, does not
+import numpy."""
+
+import importlib
+
 from .errors import (
     ConvergenceFailure,
     EllcoverError,
@@ -42,7 +36,6 @@ from .invariants import (
     family_params,
     type_square_target,
 )
-from .kdv import Grid, TravelingWave, kdv_residual, monodromy_factor, periodicity_check
 from .picard import (
     DistinctGeneric,
     DistinctHalfPeriods,
@@ -64,3 +57,27 @@ from .picard import (
 )
 
 __version__ = "0.1.0"
+
+# numeric names, by the module that defines them; bound on first access
+_NUMERIC = {
+    "elliptic": ("HalfPeriodIndex", "Lattice", "QuasiPeriods", "half_period",
+                 "legendre_defect", "quasi_periods", "reduce", "wp", "wp_prime", "zeta"),
+    "kdv": ("Grid", "TravelingWave", "kdv_residual", "monodromy_factor", "periodicity_check"),
+}
+
+__all__ = sorted(
+    [k for k, v in globals().items() if getattr(v, "__module__", "").startswith(__name__ + ".")]
+    + [name for names in _NUMERIC.values() for name in names]
+)
+
+
+def __getattr__(name: str):
+    for module, names in _NUMERIC.items():
+        if name in names:
+            value = getattr(importlib.import_module(f".{module}", __name__), name)
+            return globals().setdefault(name, value)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

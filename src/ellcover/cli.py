@@ -8,8 +8,11 @@ Floats are printed with 12 significant digits and complex numbers as
 
 Exit codes: 0 all checks passed / enumeration succeeded; 1 at least one
 verdict violated; 2 usage or numeric error.  Data goes to stdout,
-diagnostics to stderr.  The only environment knob is ELLCOVER_THREADS,
-an optional worker count for type enumeration.
+diagnostics to stderr.  There are no environment knobs.
+
+The integer subcommands never import numpy: the elliptic and kdv names
+used by `legendre` and `verify-kdv` are bound into this module on first
+use (or on first attribute access from outside).
 """
 
 from __future__ import annotations
@@ -17,15 +20,34 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
+import math
 import sys
 from fractions import Fraction
 
 from . import invariants as inv
 from . import picard
-from .elliptic import Lattice, legendre_defect, quasi_periods
-from .errors import EllcoverError
-from .kdv import Grid, TravelingWave, kdv_residual, monodromy_factor, periodicity_check
+from .errors import EllcoverError, InvalidInvariants
+
+# elliptic/kdv names used by the numeric handlers, loaded on first use
+_NUMERIC = ("Lattice", "legendre_defect", "quasi_periods", "Grid", "TravelingWave",
+            "kdv_residual", "monodromy_factor", "periodicity_check")
+
+
+def _load_numeric() -> None:
+    """Bind every numeric name into this module from the package's lazy
+    exports, keeping any binding already there (such as a wrapper
+    installed from outside)."""
+    package, namespace = sys.modules[__package__], globals()
+    for name in _NUMERIC:
+        namespace.setdefault(name, getattr(package, name))
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        _load_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -152,6 +174,16 @@ def _class_arg(text: str):
     return _parse_ints(text, 10)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse tolerance {text!r}")
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 _PLACEMENTS = {
     "same-projection": inv.Placement.SAME_PROJECTION,
     "distinct-generic": inv.Placement.DISTINCT_GENERIC,
@@ -165,6 +197,7 @@ _PLACEMENTS = {
 
 
 def _cmd_legendre(args) -> tuple[list[dict], int]:
+    _load_numeric()
     lat = Lattice(args.omega1, args.omega2, args.precision)
     qp = quasi_periods(lat)
     defect = legendre_defect(lat)
@@ -188,10 +221,9 @@ def _cmd_legendre(args) -> tuple[list[dict], int]:
 
 
 def _cmd_enumerate_types(args) -> tuple[list[dict], int]:
-    workers = args.workers or int(os.environ.get("ELLCOVER_THREADS", "1"))
     rows = []
     ok_all = True
-    for item in inv.enumerate_types(args.n, args.d, workers=workers):
+    for item in inv.enumerate_types(args.n, args.d):
         ok = inv.admissible(item.verdicts)
         ok_all = ok_all and ok
         rows.append(
@@ -218,11 +250,16 @@ def _cmd_check_cover(args) -> tuple[list[dict], int]:
         "g": args.g,
         "gamma": list(gamma),
     }
+    kdv_flags = {"d": args.d, "rho": args.rho, "m": args.m}
     if args.case == "kdv":
-        record = inv.CoverInvariants(args.n, args.d, args.g, args.rho, args.m, gamma)
+        d, rho, m = (1 if v is None else v for v in kdv_flags.values())
+        record = inv.CoverInvariants(args.n, d, args.g, rho, m, gamma)
         verdicts = inv.evaluate_kdv(record)
-        inputs.update({"d": args.d, "rho": args.rho, "m": args.m})
+        inputs.update({"d": d, "rho": rho, "m": m})
     else:
+        given = [f"--{k}" for k, v in kdv_flags.items() if v is not None]
+        if given:
+            raise InvalidInvariants(f"{', '.join(given)}: only valid with --case kdv")
         placement = _PLACEMENTS[args.placement]
         inputs["placement"] = args.placement
         if args.case == "nls":
@@ -310,6 +347,7 @@ def _cmd_picard_genus(args) -> tuple[list[dict], int]:
 
 
 def _cmd_verify_kdv(args) -> tuple[list[dict], int]:
+    _load_numeric()
     lat = Lattice(args.omega1, args.omega2, args.precision)
     if args.grid is not None:
         nx, nt = args.grid
@@ -388,16 +426,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-types", help="all admissible types for (n, d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_enumerate_types)
 
     p = sub.add_parser("check-cover", help="verdict list for claimed invariants")
     p.add_argument("--case", choices=("kdv", "nls", "sg"), default="kdv")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, default=None, help="kdv only (default 1)")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--rho", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--rho", type=int, default=None, help="kdv only (default 1)")
+    p.add_argument("--m", type=int, default=None, help="kdv only (default 1)")
     p.add_argument("--gamma", type=_vec4_arg, required=True, metavar="A,B,C,D")
     p.add_argument("--placement", choices=tuple(_PLACEMENTS), default="distinct-generic")
     p.set_defaults(handler=_cmd_check_cover)
@@ -428,8 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=lambda s: _parse_ints(s, 2), default=None,
                    metavar="NX,NT")
     p.add_argument("--precision", type=float, default=1e-12)
-    p.add_argument("--residual-tol", type=float, default=1e-6)
-    p.add_argument("--monodromy-tol", type=float, default=1e-8)
+    p.add_argument("--residual-tol", type=_tolerance, default=1e-6)
+    p.add_argument("--monodromy-tol", type=_tolerance, default=1e-8)
     p.set_defaults(handler=_cmd_verify_kdv)
 
     return parser

@@ -23,7 +23,6 @@ six explicit family constructions ("6.13".."6.18") to their (genus, degree).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -320,55 +319,41 @@ def type_square_target(n: int, d: int) -> int:
     return (2 * d - 1) * (2 * n - 2) + 3
 
 
-def _gamma0_candidates(n: int, target: int) -> range:
-    # component 0 has parity opposite to n, the others match n
-    start = (n + 1) % 2
-    return range(start, math.isqrt(target) + 1, 2)
+def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
+    """All types gamma in N^4 with square sum T = (2d-1)(2n-2)+3 and the
+    parity pattern of a rho = m = 1 cover, sorted lexicographically.
 
-
-def _enumerate_slice(n: int, d: int, g0: int) -> list[EnumeratedType]:
-    target = type_square_target(n, d)
-    rest_parity = n % 2
-    found = []
-    budget0 = target - g0 * g0
-    top = math.isqrt(target)
-    for g1 in range(rest_parity, top + 1, 2):
-        b1 = budget0 - g1 * g1
-        if b1 < 0:
-            break
-        for g2 in range(rest_parity, top + 1, 2):
-            b2 = b1 - g2 * g2
-            if b2 < 0:
-                break
-            g3 = math.isqrt(b2)
-            if g3 * g3 == b2 and g3 % 2 == rest_parity:
-                gamma = TypeVector((g0, g1, g2, g3))
-                genus = (gamma.total - 1) // 2
-                inv = CoverInvariants(n=n, d=d, g=genus, rho=1, m=1, gamma=gamma)
-                found.append(EnumeratedType(gamma, genus, tuple(evaluate_kdv(inv))))
-    return found
-
-
-def enumerate_types(n: int, d: int, workers: int = 1) -> list[EnumeratedType]:
-    """All types gamma in N^4 with square sum (2d-1)(2n-2)+3 and the parity
-    pattern of a rho = m = 1 cover, sorted lexicographically.
-
-    Genus is (gamma^(1) - 1)/2; gamma^(1) is odd for every solution, so the
-    genus is always integral.  `workers` > 1 splits the search over slices
-    of the first component; the merge restores the canonical order, so the
-    output is identical regardless of parallelism.
+    Meet in the middle: the pairs (gamma_2, gamma_3) with the parity of n
+    are bucketed by gamma_2^2 + gamma_3^2 (each bucket in ascending order),
+    then gamma_0 (opposite parity) and gamma_1 are walked in ascending order
+    and joined against the bucket of T - gamma_0^2 - gamma_1^2, so rows come
+    out already sorted.  Genus is (gamma^(1) - 1)/2; gamma^(1) is odd for
+    every solution, so the genus is always integral.
     """
     if n < 1 or d < 1:
         raise InvalidInvariants("need n >= 1 and d >= 1")
     target = type_square_target(n, d)
-    slices = list(_gamma0_candidates(n, target))
-    if workers > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda g0: _enumerate_slice(n, d, g0), slices))
-    else:
-        chunks = [_enumerate_slice(n, d, g0) for g0 in slices]
-    out = [item for chunk in chunks for item in chunk]
-    out.sort(key=lambda item: item.gamma.gamma)
+    top = math.isqrt(target)
+    rest = range(n % 2, top + 1, 2)
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for g2 in rest:
+        for g3 in rest:
+            s = g2 * g2 + g3 * g3
+            if s > target:
+                break
+            pairs.setdefault(s, []).append((g2, g3))
+    out = []
+    for g0 in range((n + 1) % 2, top + 1, 2):
+        budget0 = target - g0 * g0
+        for g1 in rest:
+            budget1 = budget0 - g1 * g1
+            if budget1 < 0:
+                break
+            for g2, g3 in pairs.get(budget1, ()):
+                gamma = TypeVector((g0, g1, g2, g3))
+                genus = (gamma.total - 1) // 2
+                inv = CoverInvariants(n=n, d=d, g=genus, rho=1, m=1, gamma=gamma)
+                out.append(EnumeratedType(gamma, genus, tuple(evaluate_kdv(inv))))
     return out
 
 

@@ -132,8 +132,13 @@ def test_pole_proximity_is_numeric_error():
         ("verify-kdv", "--omega1", "3.141592653589793", "--omega2", "3.141592653589793i",
          "--x0", "nan"),
         ("legendre", "--omega1", "0.5", "--omega2", "0.5i", "--precision", "inf"),
+        *[("verify-kdv", "--omega1", "3.141592653589793", "--omega2", "3.141592653589793i",
+           f"{flag}={value}")
+          for flag in ("--residual-tol", "--monodromy-tol") for value in ("nan", "inf", "-1")],
     ],
-    ids=["lambda-nan", "x0-nan", "precision-inf"],
+    ids=["lambda-nan", "x0-nan", "precision-inf",
+         *[f"{flag}-{value}" for flag in ("residual-tol", "monodromy-tol")
+           for value in ("nan", "inf", "neg")]],
 )
 def test_non_finite_input_is_usage_error(command):
     res = run_cli(*command)
@@ -183,7 +188,86 @@ def test_byte_identical_reruns(args):
     assert first.returncode == second.returncode
 
 
-def test_threaded_enumeration_identical_output():
-    plain = run_cli("enumerate-types", "--n", "9", "--d", "4")
-    threaded = run_cli("enumerate-types", "--n", "9", "--d", "4", "--workers", "4")
-    assert plain.stdout == threaded.stdout
+@pytest.mark.parametrize("case,placement", [("nls", "distinct-generic"),
+                                            ("sg", "distinct-half-periods")])
+@pytest.mark.parametrize("flag", ["--d", "--rho", "--m"])
+def test_check_cover_kdv_only_flags_rejected_for_two_point_cases(case, placement, flag):
+    res = run_cli("check-cover", "--case", case, "--n", "4", "--g", "2", "--gamma", "2,2,2,2",
+                  "--placement", placement, flag, "1")
+    assert res.returncode == 2
+    assert flag.encode() in res.stderr
+    assert res.stdout == b""
+
+
+def test_check_cover_kdv_defaults_are_one():
+    explicit = run_cli("check-cover", "--n", "3", "--d", "1", "--g", "2", "--rho", "1",
+                       "--m", "1", "--gamma", "2,1,1,1")
+    implicit = run_cli("check-cover", "--n", "3", "--g", "2", "--gamma", "2,1,1,1")
+    assert implicit.returncode == explicit.returncode == 0
+    assert implicit.stdout == explicit.stdout
+
+
+INTEGER_COMMANDS = [
+    ["enumerate-types", "--n", "6", "--d", "2"],
+    ["check-cover", "--n", "3", "--g", "2", "--gamma", "2,1,1,1"],
+    ["construct-68", "--d", "2", "--k", "0", "--mu", "0,1,1,1"],
+    ["family", "--theorem", "6.18", "--alpha", "0,0,0,0"],
+    ["picard-genus", "--class", "3,1,-1,0,0,0,-2,-1,-1,-1"],
+]
+
+
+def test_integer_subcommands_do_not_import_numpy():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from ellcover import cli\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.run(argv)\n"
+        "    out.append([argv[0], code, 'numpy' in sys.modules])\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(INTEGER_COMMANDS)],
+                         capture_output=True, env=env, check=True)
+    assert json.loads(res.stdout) == [[argv[0], 0, False] for argv in INTEGER_COMMANDS]
+
+
+def test_numeric_names_still_resolve():
+    import ellcover
+    import ellcover.cli
+    import ellcover.elliptic
+    import ellcover.kdv
+    from ellcover import Lattice
+
+    assert Lattice is ellcover.elliptic.Lattice
+    assert ellcover.wp is ellcover.elliptic.wp
+    assert ellcover.kdv_residual is ellcover.kdv.kdv_residual
+    assert ellcover.cli.Lattice is ellcover.elliptic.Lattice
+    assert ellcover.cli.monodromy_factor is ellcover.kdv.monodromy_factor
+    assert {"wp", "Lattice", "Grid", "enumerate_types"} <= set(dir(ellcover))
+    namespace = {}
+    exec("from ellcover import *", namespace)
+    assert {"wp", "zeta", "TravelingWave", "DivisorClass"} <= set(namespace)
+    with pytest.raises(AttributeError):
+        ellcover.no_such_name
+    with pytest.raises(AttributeError):
+        ellcover.cli.no_such_name
+
+
+def test_numeric_handlers_use_names_bound_from_outside(monkeypatch):
+    from ellcover import cli
+
+    calls = []
+    original = cli.kdv_residual
+
+    def wrapped(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "kdv_residual", wrapped)
+    assert cli.run(["verify-kdv", "--omega1", "3.141592653589793",
+                    "--omega2", "3.141592653589793i", "--grid", "40,8"]) in (0, 1)
+    assert calls == ["stencil", "chain"]
+    assert cli.kdv_residual is wrapped

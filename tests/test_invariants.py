@@ -221,10 +221,30 @@ def test_enumerate_agrees_with_brute_force(n, d):
     assert [t.gamma.gamma for t in enumerate_types(n, d)] == brute_force_types(n, d)
 
 
-def test_enumerate_parallel_merge_is_deterministic():
-    serial = [t.gamma.gamma for t in enumerate_types(9, 4)]
-    threaded = [t.gamma.gamma for t in enumerate_types(9, 4, workers=4)]
-    assert serial == threaded
+def divisor_sum(t):
+    total, k = 0, 1
+    while k * k <= t:
+        if t % k == 0:
+            total += k if k * k == t else k + t // k
+        k += 1
+    return total
+
+
+JACOBI_CASES = [(n, d) for n in range(1, 61) for d in (1, 2, 3, 7, 20)]
+JACOBI_CASES += [(10_000, 1), (10_000, 2), (1000, 20)]
+
+
+def test_enumerate_meets_jacobi_four_square_count():
+    # T is odd, so every representation of T as a sum of four squares has
+    # exactly one component whose parity differs from the other three:
+    # signs and the choice of that component turn the enumerated types into
+    # all r4(T) = 8 sigma(T) representations, 4 * 2^#nonzero at a time.
+    for n, d in JACOBI_CASES:
+        types = enumerate_types(n, d)
+        weight = sum(2 ** sum(1 for x in t.gamma if x) for t in types)
+        assert weight == 2 * divisor_sum(type_square_target(n, d)), (n, d)
+        gammas = [t.gamma.gamma for t in types]
+        assert gammas == sorted(set(gammas)), (n, d)
 
 
 def test_d1_types_are_exceptional_curve_vectors():
