@@ -1,8 +1,9 @@
 """Committed stdout bytes for the integer subcommands.
 
 The files under tests/golden/ were written once by the CLI and are
-compared byte for byte, in JSON and CSV.  Float output is not pinned here,
-since its last digits may differ across platforms."""
+compared byte for byte, in JSON and CSV, together with the exit code.
+Float output is not pinned here, since its last digits may differ across
+platforms."""
 
 import os
 
@@ -12,25 +13,48 @@ from ellcover import cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
+# name -> (expected exit code, argv)
 COMMANDS = {
-    "enumerate-types-n6-d2": ("enumerate-types", "--n", "6", "--d", "2"),
-    "enumerate-types-n40-d3": ("enumerate-types", "--n", "40", "--d", "3"),
-    "check-cover-kdv": ("check-cover", "--case", "kdv", "--n", "3", "--d", "1", "--g", "2",
-                        "--rho", "1", "--m", "1", "--gamma", "2,1,1,1"),
-    "check-cover-nls": ("check-cover", "--case", "nls", "--n", "4", "--g", "2",
-                        "--gamma", "2,2,2,2", "--placement", "distinct-generic"),
-    "check-cover-sg": ("check-cover", "--case", "sg", "--n", "4", "--g", "3",
-                       "--gamma", "2,2,1,1", "--placement", "distinct-half-periods"),
-    "construct-68": ("construct-68", "--d", "2", "--k", "0", "--mu", "0,1,1,1"),
-    "family-6.18": ("family", "--theorem", "6.18", "--alpha", "0,0,0,0"),
-    "picard-genus": ("picard-genus", "--class", "3,1,-1,0,0,0,-2,-1,-1,-1"),
+    "enumerate-types-n6-d2": (0, ("enumerate-types", "--n", "6", "--d", "2")),
+    "enumerate-types-n40-d3": (0, ("enumerate-types", "--n", "40", "--d", "3")),
+    "check-cover-kdv": (0, ("check-cover", "--case", "kdv", "--n", "3", "--d", "1", "--g", "2",
+                            "--rho", "1", "--m", "1", "--gamma", "2,1,1,1")),
+    "check-cover-kdv-rho3": (0, ("check-cover", "--case", "kdv", "--n", "5", "--d", "2",
+                                 "--g", "1", "--rho", "3", "--gamma", "0,3,1,1")),
+    "check-cover-nls": (0, ("check-cover", "--case", "nls", "--n", "4", "--g", "2",
+                            "--gamma", "2,2,2,2", "--placement", "distinct-generic")),
+    "check-cover-nls-same-even": (0, ("check-cover", "--case", "nls", "--n", "4", "--g", "2",
+                                      "--gamma", "2,2,2,0", "--placement", "same-projection")),
+    "check-cover-nls-same-odd": (0, ("check-cover", "--case", "nls", "--n", "5", "--g", "2",
+                                     "--gamma", "1,1,1,3", "--placement", "same-projection")),
+    "check-cover-sg": (0, ("check-cover", "--case", "sg", "--n", "4", "--g", "3",
+                           "--gamma", "2,2,1,1", "--placement", "distinct-half-periods")),
+    "check-cover-sg-half-periods-violated": (1, ("check-cover", "--case", "sg", "--n", "4",
+                                                 "--g", "3", "--gamma", "2,2,2,2",
+                                                 "--placement", "distinct-half-periods")),
+    "check-cover-sg-same-even": (0, ("check-cover", "--case", "sg", "--n", "4", "--g", "3",
+                                     "--gamma", "2,2,2,0", "--placement", "same-projection")),
+    "check-cover-sg-same-odd": (0, ("check-cover", "--case", "sg", "--n", "5", "--g", "3",
+                                    "--gamma", "1,1,1,3", "--placement", "same-projection")),
+    "construct-68": (0, ("construct-68", "--d", "2", "--k", "0", "--mu", "0,1,1,1")),
+    "family-6.13-half-period": (0, ("family", "--theorem", "6.13", "--alpha", "0,0,0,0",
+                                    "--at-half-period")),
+    "family-6.14": (0, ("family", "--theorem", "6.14", "--alpha", "1,1,0,0")),
+    "family-6.14-half-period": (0, ("family", "--theorem", "6.14", "--alpha", "1,0,0,0",
+                                    "--at-half-period")),
+    "family-6.15": (0, ("family", "--theorem", "6.15", "--alpha", "0,1,0,1")),
+    "family-6.16": (0, ("family", "--theorem", "6.16", "--alpha", "1,1,0,2")),
+    "family-6.17": (0, ("family", "--theorem", "6.17", "--alpha", "1,0,1,1", "--j0", "1")),
+    "family-6.18": (0, ("family", "--theorem", "6.18", "--alpha", "0,0,0,0")),
+    "picard-genus": (0, ("picard-genus", "--class", "3,1,-1,0,0,0,-2,-1,-1,-1")),
 }
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden_bytes(name, fmt, capsys):
-    assert cli.run(["--format", fmt, *COMMANDS[name]]) == 0
+    code, argv = COMMANDS[name]
+    assert cli.run(["--format", fmt, *argv]) == code
     with open(os.path.join(GOLDEN, f"{name}.{fmt}"), "rb") as fh:
         expected = fh.read()
     assert capsys.readouterr().out.encode() == expected
