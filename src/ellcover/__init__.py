@@ -37,10 +37,7 @@ from .invariants import (
     type_square_target,
 )
 from .picard import (
-    DistinctGeneric,
-    DistinctHalfPeriods,
     DivisorClass,
-    SamePointHalfPeriod,
     TauInvariantClass,
     adjunction_genus,
     canonical_class,

@@ -184,13 +184,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-_PLACEMENTS = {
-    "same-projection": inv.Placement.SAME_PROJECTION,
-    "distinct-generic": inv.Placement.DISTINCT_GENERIC,
-    "distinct-half-periods": inv.Placement.DISTINCT_HALF_PERIODS,
-}
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (rows, exit_code)
 # ---------------------------------------------------------------------------
@@ -251,17 +244,18 @@ def _cmd_check_cover(args) -> tuple[list[dict], int]:
         "gamma": list(gamma),
     }
     kdv_flags = {"d": args.d, "rho": args.rho, "m": args.m}
+    misplaced = {"placement": args.placement} if args.case == "kdv" else kdv_flags
+    given = [f"--{k}" for k, v in misplaced.items() if v is not None]
+    if given:
+        raise InvalidInvariants(f"{', '.join(given)}: not valid with --case {args.case}")
     if args.case == "kdv":
         d, rho, m = (1 if v is None else v for v in kdv_flags.values())
         record = inv.CoverInvariants(args.n, d, args.g, rho, m, gamma)
         verdicts = inv.evaluate_kdv(record)
         inputs.update({"d": d, "rho": rho, "m": m})
     else:
-        given = [f"--{k}" for k, v in kdv_flags.items() if v is not None]
-        if given:
-            raise InvalidInvariants(f"{', '.join(given)}: only valid with --case kdv")
-        placement = _PLACEMENTS[args.placement]
-        inputs["placement"] = args.placement
+        placement = inv.Placement(args.placement or "distinct-generic")
+        inputs["placement"] = placement.value
         if args.case == "nls":
             verdicts = inv.evaluate_nls_toda(args.n, args.g, gamma, placement)
         else:
@@ -436,7 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=int, default=None, help="kdv only (default 1)")
     p.add_argument("--m", type=int, default=None, help="kdv only (default 1)")
     p.add_argument("--gamma", type=_vec4_arg, required=True, metavar="A,B,C,D")
-    p.add_argument("--placement", choices=tuple(_PLACEMENTS), default="distinct-generic")
+    p.add_argument("--placement", choices=[pl.value for pl in inv.Placement], default=None,
+                   help="nls|sg only (default distinct-generic)")
     p.set_defaults(handler=_cmd_check_cover)
 
     p = sub.add_parser("construct-68", help="generated (gamma, n, g) table")

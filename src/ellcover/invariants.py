@@ -9,6 +9,10 @@ Three families of marked covers of the base elliptic curve are handled:
   * covers marked at two involution-fixed points (sine-Gordon family),
     invariants (n, g, gamma) plus placement.
 
+The two-point families share one placement model (`Placement`, with its
+half-period indices), one parity rule (`flipped_indices`) and one table
+of square bounds, which also serves the family maps' 6.11/6.12 checks.
+
 Every constraint is a named clause of the built-in rule catalog (IDs such
 as "5.4(5) parity"); checkers evaluate all applicable clauses and report
 structured verdicts rather than raising, so enumeration can show
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import InvalidInvariants, ParityViolation
 
@@ -99,29 +103,41 @@ class CoverInvariants:
 
 
 class Placement(Enum):
-    """Where the two marked points of a two-point cover project."""
+    """Where the two marked points of a two-point cover project.
+
+    The half-period indices travel beside it as one sorted tuple (see
+    `half_period_indices`); the values are the CLI's `--placement` strings."""
 
     SAME_PROJECTION = "same-projection"
     DISTINCT_GENERIC = "distinct-generic"
     DISTINCT_HALF_PERIODS = "distinct-half-periods"
 
 
-@dataclass(frozen=True)
-class KdVCase:
-    d: int
+# how many half-period indices travel with each placement: (i0,), (), (k, j)
+_INDEX_COUNT = dict(zip(Placement, (1, 0, 2)))
 
 
-@dataclass(frozen=True)
-class NlsTodaCase:
-    placement: Placement
+def half_period_indices(placement: Placement, indices) -> tuple[int, ...]:
+    """The half-period indices of a placement, validated and sorted: (i0,)
+    for same projection, (k, j) for distinct half-periods, () for distinct
+    generic points.  A wrong count, a duplicate or an index outside 0..3
+    raises InvalidInvariants."""
+    idx = tuple(sorted(indices))
+    count = _INDEX_COUNT[placement]
+    if len(idx) != count or len(set(idx).intersection(range(4))) != count:
+        raise InvalidInvariants(
+            f"{placement.value} takes {count} distinct indices in 0..3, got {indices}"
+        )
+    return idx
 
 
-@dataclass(frozen=True)
-class SineGordonCase:
-    placement: Placement
+def flipped_indices(n: int, gamma) -> tuple[int, ...]:
+    """The indices i with gamma_i != n (mod 2), ascending.
 
-
-CaseLabel = Union[KdVCase, NlsTodaCase, SineGordonCase]
+    This is the parity rule of the two-point covers: the flipped set must
+    be () unless the marked points sit over two distinct half-periods k
+    and j, where it must be (k, j)."""
+    return tuple([i for i, x in enumerate(gamma) if (x - n) % 2])
 
 
 @dataclass(frozen=True)
@@ -202,8 +218,27 @@ def check_kdv(inv: CoverInvariants) -> list[Verdict]:
 
 
 # ---------------------------------------------------------------------------
-# Schrodinger/Toda-family checker
+# Two-point checkers (Schrodinger/Toda and sine-Gordon families)
 # ---------------------------------------------------------------------------
+
+# The two-point square bounds, by clause family: clause id and rhs - 4n for
+# distinct projections, one projection with n even, one projection with n odd.
+_SQUARE_BOUNDS = {
+    "5.7": (("5.7(2)", 0), ("5.7(3)", -4), ("5.7(4)", -8)),  # Schrodinger/Toda covers
+    "5.8": (("5.8(2)", 0), ("5.8(3)", -4), ("5.8(4)", -8)),  # sine-Gordon covers
+    "6.11": (("6.11(3)", 0), ("6.11(1)", -4), ("6.11(2)", -8)),  # families 6.13, 6.14
+    "6.12": (("6.12(3)", -2), ("6.12(1)", -4), ("6.12(2)", -8)),  # families 6.15 - 6.18
+}
+
+
+def _square_bound(
+    table: str, kind: str, lhs: int, n: int, same_projection: bool, informational: bool = False
+) -> Verdict:
+    """The `kind` ("type" or "genus") square bound of a clause family,
+    picked by placement and by the parity of n."""
+    clause, shift = _SQUARE_BOUNDS[table][1 + n % 2 if same_projection else 0]
+    rhs = 4 * n + shift
+    return Verdict(f"{clause} {kind} square bound", lhs <= rhs, lhs, rhs, informational)
 
 
 def evaluate_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdict]:
@@ -214,31 +249,18 @@ def evaluate_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdi
             "marked points exchanged by the involution cannot project to two "
             "distinct half-periods"
         )
-    gam = gamma if isinstance(gamma, TypeVector) else TypeVector(_vec4(gamma))
-    g1, g2 = gam.total, gam.square_sum
-    out: list[Verdict] = []
-    parities = tuple(x % 2 for x in gam)
-    out.append(Verdict("5.7 parity", all(p == n % 2 for p in parities), parities, n % 2))
-    out.append(_bound("5.7(1) genus vs type sum", 2 * g + 2, g1))
-    if placement is Placement.DISTINCT_GENERIC:
-        out.append(_bound("5.7(2) type square bound", g2, 4 * n))
-        out.append(_bound("5.7(2) genus square bound", (g + 1) ** 2, 4 * n))
-    elif n % 2 == 0:
-        out.append(_bound("5.7(3) type square bound", g2, 4 * n - 4))
-        out.append(_bound("5.7(3) genus square bound", (g + 1) ** 2, 4 * n - 4))
-    else:
-        out.append(_bound("5.7(4) type square bound", g2, 4 * n - 8))
-        out.append(_bound("5.7(4) genus square bound", (g + 1) ** 2, 4 * n - 8))
-    return out
+    gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
+    same = placement is Placement.SAME_PROJECTION
+    return [
+        Verdict("5.7 parity", not flipped_indices(n, gam.gamma), tuple(x % 2 for x in gam), n % 2),
+        _bound("5.7(1) genus vs type sum", 2 * g + 2, gam.total),
+        _square_bound("5.7", "type", gam.square_sum, n, same),
+        _square_bound("5.7", "genus", (g + 1) ** 2, n, same),
+    ]
 
 
 def check_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdict]:
     return violations(evaluate_nls_toda(n, g, gamma, placement))
-
-
-# ---------------------------------------------------------------------------
-# sine-Gordon-family checker
-# ---------------------------------------------------------------------------
 
 
 def evaluate_sine_gordon(
@@ -246,46 +268,37 @@ def evaluate_sine_gordon(
     g: int,
     gamma,
     placement: Placement,
-    half_period_pair: Optional[tuple[int, int]] = None,
+    half_period_pair: Optional[tuple[int, ...]] = None,
 ) -> list[Verdict]:
+    """Verdicts for a sine-Gordon cover.  `half_period_pair` is the
+    placement's index tuple (see `half_period_indices`); when omitted over
+    distinct half-periods, 5.6(5) only asks for two flipped indices."""
     if placement is Placement.DISTINCT_GENERIC:
         # involution-fixed marked points always project to half-periods
         raise InvalidInvariants(
             "involution-fixed marked points project to half-periods; distinct "
             "projections must be two distinct half-periods"
         )
-    gam = gamma if isinstance(gamma, TypeVector) else TypeVector(_vec4(gamma))
-    g1, g2 = gam.total, gam.square_sum
-    out: list[Verdict] = []
-
-    if placement is Placement.SAME_PROJECTION:
-        parities = tuple(x % 2 for x in gam)
-        out.append(
-            Verdict("5.6(3) parity", all(p == n % 2 for p in parities), parities, n % 2)
-        )
+    if half_period_pair is not None:
+        half_period_pair = half_period_indices(placement, half_period_pair)
+    gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
+    same = placement is Placement.SAME_PROJECTION
+    flipped = flipped_indices(n, gam.gamma)
+    if same:
+        parity = Verdict("5.6(3) parity", not flipped, tuple(x % 2 for x in gam), n % 2)
     else:
-        flipped = tuple(i for i in range(4) if gam[i] % 2 != n % 2)
-        if half_period_pair is None:
-            ok = len(flipped) == 2
-            out.append(Verdict("5.6(5) parity", ok, flipped, "two flipped indices"))
-        else:
-            k, j = half_period_pair
-            ok = sorted(flipped) == sorted((k, j))
-            out.append(Verdict("5.6(5) parity", ok, flipped, tuple(sorted((k, j)))))
-
-    out.append(_bound("5.8(1) genus vs type sum", 2 * g, g1))
-    if placement is Placement.DISTINCT_HALF_PERIODS:
-        out.append(_bound("5.8(2) type square bound", g2, 4 * n))
-        out.append(_bound("5.8(2) genus square bound", g * g, 4 * n))
-        out.append(
-            _bound("6.12(3) genus square bound", g * g, 4 * n - 2, informational=True)
-        )
-    elif n % 2 == 0:
-        out.append(_bound("5.8(3) type square bound", g2, 4 * n - 4))
-        out.append(_bound("5.8(3) genus square bound", g * g, 4 * n - 4))
-    else:
-        out.append(_bound("5.8(4) type square bound", g2, 4 * n - 8))
-        out.append(_bound("5.8(4) genus square bound", g * g, 4 * n - 8))
+        want = "two flipped indices" if half_period_pair is None else half_period_pair
+        ok = len(flipped) == 2 if half_period_pair is None else flipped == want
+        parity = Verdict("5.6(5) parity", ok, flipped, want)
+    out = [
+        parity,
+        _bound("5.8(1) genus vs type sum", 2 * g, gam.total),
+        _square_bound("5.8", "type", gam.square_sum, n, same),
+        _square_bound("5.8", "genus", g * g, n, same),
+    ]
+    if not same:
+        # 6.12(3), sharper than 5.8(2), does not decide admissibility here
+        out.append(_square_bound("6.12", "genus", g * g, n, same, informational=True))
     return out
 
 
@@ -294,7 +307,7 @@ def check_sine_gordon(
     g: int,
     gamma,
     placement: Placement,
-    half_period_pair: Optional[tuple[int, int]] = None,
+    half_period_pair: Optional[tuple[int, ...]] = None,
 ) -> list[Verdict]:
     return violations(evaluate_sine_gordon(n, g, gamma, placement, half_period_pair))
 
@@ -473,17 +486,17 @@ class FamilySpec:
         if any(x < 0 for x in a):
             raise InvalidInvariants(f"alpha must be non-negative, got {a}")
         object.__setattr__(self, "alpha", a)
+        if self.at_half_period and self.case not in ("6.13", "6.14"):
+            raise InvalidInvariants(f"at_half_period is for 6.13 and 6.14, not {self.case}")
+        if self.j0 is not None and self.case != "6.17":
+            raise InvalidInvariants(f"j0 applies only to case 6.17, not {self.case}")
         a1 = sum(a)
         if self.case == "6.14":
             if a == (0, 0, 0, 0):
                 raise InvalidInvariants("case 6.14 requires alpha != 0")
-            if a1 % 2 == 0 and self.at_half_period:
+            if a1 % 2 != self.at_half_period:
                 raise ParityViolation(
-                    "case 6.14 with even alpha sum needs a generic base point"
-                )
-            if a1 % 2 == 1 and not self.at_half_period:
-                raise ParityViolation(
-                    "case 6.14 with odd alpha sum needs a half-period base point"
+                    "case 6.14 needs a half-period base point exactly when the alpha sum is odd"
                 )
         elif self.case == "6.15":
             if (a[2] + a[3]) % 2 != 1:
@@ -510,21 +523,6 @@ class FamilyParams:
         return iter((self.g, self.n))
 
 
-def _family_restriction(case: str, same_projection: bool, g: int, n: int) -> Verdict:
-    """The matching genus/degree restriction for a family output."""
-    if case in ("6.13", "6.14"):
-        if not same_projection:
-            return _bound("6.11(3) genus square bound", (g + 1) ** 2, 4 * n)
-        if n % 2 == 0:
-            return _bound("6.11(1) genus square bound", (g + 1) ** 2, 4 * n - 4)
-        return _bound("6.11(2) genus square bound", (g + 1) ** 2, 4 * n - 8)
-    if not same_projection:
-        return _bound("6.12(3) genus square bound", g * g, 4 * n - 2)
-    if n % 2 == 0:
-        return _bound("6.12(1) genus square bound", g * g, 4 * n - 4)
-    return _bound("6.12(2) genus square bound", g * g, 4 * n - 8)
-
-
 def family_params(spec: FamilySpec) -> FamilyParams:
     """Genus and degree of the family member, with the matching restriction
     cross-checked and attached as a verdict."""
@@ -533,21 +531,23 @@ def family_params(spec: FamilySpec) -> FamilyParams:
     a2 = sum(x * x for x in a)
     case = spec.case
 
+    same = spec.at_half_period  # only ever set for 6.13 and 6.14
     if case == "6.13":
-        g = a1 + 1
-        n = a2 + a1 + (3 if spec.at_half_period else 1)
-        same = spec.at_half_period
+        g, n = a1 + 1, a2 + a1 + (3 if same else 1)
     elif case == "6.14":
-        g = a1 - 1
-        n = a2 + (1 if spec.at_half_period else 0)
-        same = spec.at_half_period
+        g, n = a1 - 1, a2 + (1 if same else 0)
     elif case == "6.15":
-        g, n, same = a1 + 1, a2 + a[0] + a[1] + 1, False
+        g, n = a1 + 1, a2 + a[0] + a[1] + 1
     elif case == "6.16":
-        g, n, same = a1 + 1, a2 + a[2] + a[3] + 1, False
+        g, n = a1 + 1, a2 + a[2] + a[3] + 1
     elif case == "6.17":
         g, n, same = a1, a2 + 1, True
     else:  # 6.18
         g, n, same = a1 + 2, a2 + a1 + 3, True
 
-    return FamilyParams(g, n, (_family_restriction(case, same, g, n),))
+    # 6.13 and 6.14 are Schrodinger/Toda covers, the others sine-Gordon ones
+    if case in ("6.13", "6.14"):
+        restriction = _square_bound("6.11", "genus", (g + 1) ** 2, n, same)
+    else:
+        restriction = _square_bound("6.12", "genus", g * g, n, same)
+    return FamilyParams(g, n, (restriction,))

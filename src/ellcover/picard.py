@@ -24,6 +24,8 @@ flag inadmissibility upstream.
 The quotient by the involution is a rational surface whose canonical class
 pulls back to e*(-2*C_o); classes invariant under the involution descend,
 halving self-intersection and canonical pairing (`TauInvariantClass`).
+Two-marked-point classes (`nls_sg_class`) take their placement model and
+parity rule from `invariants`.
 """
 
 from __future__ import annotations
@@ -33,17 +35,9 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidInvariants, ParityViolation
-
-Vec4 = tuple[int, int, int, int]
+from .invariants import Placement, TypeVector, Vec4, _vec4, flipped_indices, half_period_indices
 
 _ZERO4: Vec4 = (0, 0, 0, 0)
-
-
-def _vec4(values) -> Vec4:
-    t = tuple(int(v) for v in values)
-    if len(t) != 4:
-        raise InvalidInvariants(f"expected 4 integers, got {len(t)}")
-    return t  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -218,82 +212,32 @@ def tilde_genus(d: Union[DivisorClass, TauInvariantClass]) -> Fraction:
     return d.quotient_genus
 
 
-@dataclass(frozen=True)
-class SamePointHalfPeriod:
-    """Both marked points map to the same half-period, index i0."""
-
-    i0: int
-
-    def __post_init__(self):
-        if self.i0 not in range(4):
-            raise InvalidInvariants(f"half-period index must be 0..3, got {self.i0}")
-
-
-@dataclass(frozen=True)
-class DistinctGeneric:
-    """Marked points with distinct, non-half-period projections."""
-
-
-@dataclass(frozen=True)
-class DistinctHalfPeriods:
-    """Marked points over two distinct half-periods, indices k != j."""
-
-    k: int
-    j: int
-
-    def __post_init__(self):
-        if self.k not in range(4) or self.j not in range(4) or self.k == self.j:
-            raise InvalidInvariants(f"need two distinct indices in 0..3, got {self}")
-
-
-Placement = Union[SamePointHalfPeriod, DistinctGeneric, DistinctHalfPeriods]
-
-
-def nls_sg_class(n: int, placement: Placement, gamma) -> DivisorClass:
+def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClass:
     """Class of a two-marked-point cover (Schrodinger/Toda or sine-Gordon side).
 
-    Depending on where the two marked points project:
-      same half-period i0      -> e*(n*C_o + 2F) - 2*s_{i0} - sum gamma_i r_i
-      distinct generic points  -> e*(n*C_o + 2F) - sum gamma_i r_i
-      distinct half-periods k,j-> e*(n*C_o + F_k + F_j) - s_k - s_j - sum gamma_i r_i
+    By placement, with its half-period indices (`invariants.half_period_indices`):
+      same half-period (i0,)        -> e*(n*C_o + 2F) - 2*s_{i0} - sum gamma_i r_i
+      distinct generic points ()    -> e*(n*C_o + 2F) - sum gamma_i r_i
+      distinct half-periods (k, j)  -> e*(n*C_o + F_k + F_j) - s_k - s_j - sum gamma_i r_i
     (fibers are identified numerically, so F_k + F_j contributes b = 2).
 
-    The congruence constraints tied to each placement are enforced:
-      same / generic: gamma_i = n (mod 2) for all i;
-      distinct half-periods: gamma_k + 1 = gamma_j + 1 = gamma_other = n (mod 2).
+    Raises ParityViolation unless the indices i with gamma_i != n (mod 2)
+    (`invariants.flipped_indices`) are (k, j) over distinct half-periods
+    and none otherwise.
     """
+    idx = half_period_indices(placement, indices)
     n = int(n)
-    g = _vec4(gamma)
     if n < 1:
         raise InvalidInvariants(f"degree n must be >= 1, got {n}")
-    if any(x < 0 for x in g):
-        raise InvalidInvariants(f"type vector must be non-negative, got {g}")
-    minus_g = tuple(-x for x in g)
-
-    if isinstance(placement, SamePointHalfPeriod):
-        if any((x - n) % 2 for x in g):
-            raise ParityViolation(f"need gamma_i = n (mod 2) for all i, got {g}, n={n}")
-        s = tuple(-2 if i == placement.i0 else 0 for i in range(4))
-        return DivisorClass(n, 2, s, minus_g)
-
-    if isinstance(placement, DistinctGeneric):
-        if any((x - n) % 2 for x in g):
-            raise ParityViolation(f"need gamma_i = n (mod 2) for all i, got {g}, n={n}")
-        return DivisorClass(n, 2, _ZERO4, minus_g)
-
-    if isinstance(placement, DistinctHalfPeriods):
-        k, j = placement.k, placement.j
-        for i in range(4):
-            want = (n + 1) % 2 if i in (k, j) else n % 2
-            if g[i] % 2 != want:
-                raise ParityViolation(
-                    f"type {g} violates the half-period parity pattern for "
-                    f"(k, j) = ({k}, {j}) at degree n = {n}"
-                )
-        s = tuple(-1 if i in (k, j) else 0 for i in range(4))
-        return DivisorClass(n, 2, s, minus_g)
-
-    raise InvalidInvariants(f"unknown placement {placement!r}")
+    g = TypeVector(gamma).gamma
+    want = idx if placement is Placement.DISTINCT_HALF_PERIODS else ()
+    if flipped_indices(n, g) != want:
+        raise ParityViolation(
+            f"type {g} at degree n = {n} needs gamma_i != n (mod 2) exactly at {want}"
+        )
+    # one shared half-period carries s_{i0} twice, two distinct ones once each
+    s = tuple(-2 // len(idx) if i in idx else 0 for i in range(4))
+    return DivisorClass(n, 2, s, tuple(-x for x in g))
 
 
 def parity_exceptional_index(alpha) -> int:

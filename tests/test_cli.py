@@ -83,6 +83,17 @@ def test_family_parity_violation_is_usage_error():
     assert b"error:" in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("--theorem", "6.18", "--alpha", "0,0,0,0", "--at-half-period"),
+    ("--theorem", "6.13", "--alpha", "0,0,0,0", "--j0", "2"),
+])
+def test_family_flag_outside_its_cases_is_usage_error(args):
+    res = run_cli("family", *args)
+    assert res.returncode == 2
+    assert b"error:" in res.stderr
+    assert res.stdout == b""
+
+
 def test_picard_genus_row():
     res = run_cli("picard-genus", "--class", "3,1,-1,0,0,0,-2,-1,-1,-1")
     assert res.returncode == 0
@@ -188,12 +199,21 @@ def test_byte_identical_reruns(args):
     assert first.returncode == second.returncode
 
 
-@pytest.mark.parametrize("case,placement", [("nls", "distinct-generic"),
-                                            ("sg", "distinct-half-periods")])
-@pytest.mark.parametrize("flag", ["--d", "--rho", "--m"])
-def test_check_cover_kdv_only_flags_rejected_for_two_point_cases(case, placement, flag):
+MISPLACED_FLAGS = [
+    *((flag, case, placement) for case, placement in (("nls", "distinct-generic"),
+                                                      ("sg", "distinct-half-periods"))
+      for flag in ("--d", "--rho", "--m")),
+    # and the converse: --placement is for the two-point cases only
+    ("--placement", "kdv", "same-projection"),
+]
+
+
+@pytest.mark.parametrize("flag,case,placement", MISPLACED_FLAGS,
+                         ids=["-".join(p) for p in MISPLACED_FLAGS])
+def test_check_cover_kdv_only_flags_rejected_for_two_point_cases(flag, case, placement):
+    extra = () if flag == "--placement" else (flag, "1")
     res = run_cli("check-cover", "--case", case, "--n", "4", "--g", "2", "--gamma", "2,2,2,2",
-                  "--placement", placement, flag, "1")
+                  "--placement", placement, *extra)
     assert res.returncode == 2
     assert flag.encode() in res.stderr
     assert res.stdout == b""

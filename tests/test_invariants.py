@@ -22,6 +22,7 @@ from ellcover.invariants import (
     family_params,
     type_square_target,
 )
+from ellcover.picard import nls_sg_class
 
 
 def make_inv(n, d, g, rho=1, m=1, gamma=(0, 1, 1, 1)):
@@ -168,6 +169,20 @@ def test_sg_half_period_pair_parity():
 def test_sg_rejects_impossible_placement():
     with pytest.raises(InvalidInvariants):
         check_sine_gordon(4, 2, (2, 2, 2, 2), Placement.DISTINCT_GENERIC)
+
+
+@pytest.mark.parametrize("placement,indices", [
+    (Placement.DISTINCT_HALF_PERIODS, (0, 0)),  # duplicate
+    (Placement.DISTINCT_HALF_PERIODS, (2, 7)),  # outside 0..3
+    (Placement.SAME_PROJECTION, (0, 1)),  # a pair where one index belongs
+])
+def test_bad_half_period_indices_fail_loudly(placement, indices):
+    with pytest.raises(InvalidInvariants) as raised:
+        evaluate_sine_gordon(7, 2, (2, 2, 3, 3), placement, indices)
+    assert type(raised.value) is InvalidInvariants
+    with pytest.raises(InvalidInvariants) as raised:
+        nls_sg_class(7, placement, (2, 2, 3, 3), indices)
+    assert type(raised.value) is InvalidInvariants
 
 
 def test_sg_informational_clause_does_not_block_admissibility():
@@ -356,6 +371,22 @@ def test_family_precondition_violations():
         FamilySpec("6.17", (1, 1, 1, 1), j0=1)
     with pytest.raises(InvalidInvariants):
         FamilySpec("6.19", (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("case,alpha,kwargs", [
+    ("6.15", (0, 1, 0, 1), {"at_half_period": True}),
+    ("6.16", (1, 1, 0, 2), {"at_half_period": True}),
+    ("6.17", (1, 0, 1, 1), {"at_half_period": True, "j0": 1}),
+    ("6.18", (0, 0, 0, 0), {"at_half_period": True}),
+    ("6.13", (0, 0, 0, 0), {"j0": 2}),
+    ("6.14", (1, 0, 0, 0), {"at_half_period": True, "j0": 1}),
+    ("6.15", (0, 1, 0, 1), {"j0": 3}),
+    ("6.18", (0, 0, 0, 0), {"j0": 1}),
+])
+def test_family_flags_outside_their_cases_are_rejected(case, alpha, kwargs):
+    with pytest.raises(InvalidInvariants) as raised:
+        FamilySpec(case, alpha, **kwargs)
+    assert type(raised.value) is InvalidInvariants
 
 
 @given(st.tuples(*(st.integers(0, 8),) * 4), st.integers(0, 5))

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellcover.errors import InvalidInvariants, ParityViolation
+from ellcover.invariants import Placement
 from ellcover.picard import (
-    DistinctGeneric,
-    DistinctHalfPeriods,
     DivisorClass,
-    SamePointHalfPeriod,
     TauInvariantClass,
     adjunction_genus,
     canonical_class,
@@ -162,36 +160,36 @@ def test_tau_invariant_wrapper_halves_pairings():
 
 
 def test_nls_class_boundary_case():
-    d = nls_sg_class(4, DistinctGeneric(), (2, 2, 2, 2))
+    d = nls_sg_class(4, Placement.DISTINCT_GENERIC, (2, 2, 2, 2))
     assert d.self_intersection == 0
     assert tilde_genus(d) == 0
 
 
 def test_nls_same_point_negative_genus_flags_inadmissible():
-    d = nls_sg_class(4, SamePointHalfPeriod(0), (2, 2, 2, 2))
+    d = nls_sg_class(4, Placement.SAME_PROJECTION, (2, 2, 2, 2), (0,))
     assert tilde_genus(d) == -1
 
 
 def test_sg_distinct_half_periods_parity_and_class():
-    d = nls_sg_class(3, DistinctHalfPeriods(0, 1), (2, 2, 3, 3))
+    d = nls_sg_class(3, Placement.DISTINCT_HALF_PERIODS, (2, 2, 3, 3), (0, 1))
     assert d.coefficients() == (3, 2, -1, -1, 0, 0, -2, -2, -3, -3)
     with pytest.raises(ParityViolation):
-        nls_sg_class(3, DistinctHalfPeriods(0, 1), (2, 2, 3, 2))
+        nls_sg_class(3, Placement.DISTINCT_HALF_PERIODS, (2, 2, 3, 2), (0, 1))
     with pytest.raises(ParityViolation):
-        nls_sg_class(4, DistinctGeneric(), (2, 1, 2, 2))
+        nls_sg_class(4, Placement.DISTINCT_GENERIC, (2, 1, 2, 2))
 
 
 def test_nls_genus_formula_matches_placement():
     # generic distinct points: g~ = (4n - gamma2)/4
     for n, gam in [(4, (2, 2, 2, 2)), (5, (1, 1, 1, 3)), (6, (2, 2, 2, 2))]:
-        d = nls_sg_class(n, DistinctGeneric(), gam)
+        d = nls_sg_class(n, Placement.DISTINCT_GENERIC, gam)
         g2 = sum(x * x for x in gam)
         assert tilde_genus(d) == Fraction(4 * n - g2, 4)
     # same half-period: g~ = (4n - 4 - gamma2)/4
-    d = nls_sg_class(6, SamePointHalfPeriod(2), (2, 0, 0, 4))
+    d = nls_sg_class(6, Placement.SAME_PROJECTION, (2, 0, 0, 4), (2,))
     assert tilde_genus(d) == Fraction(24 - 4 - 20, 4)
     # two half-periods: g~ = (4n - 2 - gamma2)/4
-    d = nls_sg_class(3, DistinctHalfPeriods(0, 1), (2, 2, 3, 3))
+    d = nls_sg_class(3, Placement.DISTINCT_HALF_PERIODS, (2, 2, 3, 3), (0, 1))
     assert tilde_genus(d) == Fraction(12 - 2 - 26, 4)
 
 
