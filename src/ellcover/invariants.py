@@ -231,14 +231,11 @@ _SQUARE_BOUNDS = {
 }
 
 
-def _square_bound(
-    table: str, kind: str, lhs: int, n: int, same_projection: bool, informational: bool = False
-) -> Verdict:
-    """The `kind` ("type" or "genus") square bound of a clause family,
-    picked by placement and by the parity of n."""
+def _square_bound(table: str, n: int, same_projection: bool) -> tuple[str, int]:
+    """Clause id and rhs of a two-point square bound, picked by placement
+    and by the parity of n."""
     clause, shift = _SQUARE_BOUNDS[table][1 + n % 2 if same_projection else 0]
-    rhs = 4 * n + shift
-    return Verdict(f"{clause} {kind} square bound", lhs <= rhs, lhs, rhs, informational)
+    return clause, 4 * n + shift
 
 
 def evaluate_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdict]:
@@ -250,12 +247,13 @@ def evaluate_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdi
             "distinct half-periods"
         )
     gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
-    same = placement is Placement.SAME_PROJECTION
+    clause, rhs = _square_bound("5.7", n, placement is Placement.SAME_PROJECTION)
+    parities = tuple([x % 2 for x in gam.gamma])
     return [
-        Verdict("5.7 parity", not flipped_indices(n, gam.gamma), tuple(x % 2 for x in gam), n % 2),
+        Verdict("5.7 parity", not flipped_indices(n, gam.gamma), parities, n % 2),
         _bound("5.7(1) genus vs type sum", 2 * g + 2, gam.total),
-        _square_bound("5.7", "type", gam.square_sum, n, same),
-        _square_bound("5.7", "genus", (g + 1) ** 2, n, same),
+        _bound(clause + " type square bound", gam.square_sum, rhs),
+        _bound(clause + " genus square bound", (g + 1) ** 2, rhs),
     ]
 
 
@@ -285,20 +283,22 @@ def evaluate_sine_gordon(
     same = placement is Placement.SAME_PROJECTION
     flipped = flipped_indices(n, gam.gamma)
     if same:
-        parity = Verdict("5.6(3) parity", not flipped, tuple(x % 2 for x in gam), n % 2)
+        parity = Verdict("5.6(3) parity", not flipped, tuple([x % 2 for x in gam.gamma]), n % 2)
     else:
         want = "two flipped indices" if half_period_pair is None else half_period_pair
         ok = len(flipped) == 2 if half_period_pair is None else flipped == want
         parity = Verdict("5.6(5) parity", ok, flipped, want)
+    clause, rhs = _square_bound("5.8", n, same)
     out = [
         parity,
         _bound("5.8(1) genus vs type sum", 2 * g, gam.total),
-        _square_bound("5.8", "type", gam.square_sum, n, same),
-        _square_bound("5.8", "genus", g * g, n, same),
+        _bound(clause + " type square bound", gam.square_sum, rhs),
+        _bound(clause + " genus square bound", g * g, rhs),
     ]
     if not same:
         # 6.12(3), sharper than 5.8(2), does not decide admissibility here
-        out.append(_square_bound("6.12", "genus", g * g, n, same, informational=True))
+        clause, rhs = _square_bound("6.12", n, same)
+        out.append(_bound(clause + " genus square bound", g * g, rhs, informational=True))
     return out
 
 
@@ -546,8 +546,6 @@ def family_params(spec: FamilySpec) -> FamilyParams:
         g, n, same = a1 + 2, a2 + a1 + 3, True
 
     # 6.13 and 6.14 are Schrodinger/Toda covers, the others sine-Gordon ones
-    if case in ("6.13", "6.14"):
-        restriction = _square_bound("6.11", "genus", (g + 1) ** 2, n, same)
-    else:
-        restriction = _square_bound("6.12", "genus", g * g, n, same)
-    return FamilyParams(g, n, (restriction,))
+    table, lhs = ("6.11", (g + 1) ** 2) if case in ("6.13", "6.14") else ("6.12", g * g)
+    clause, rhs = _square_bound(table, n, same)
+    return FamilyParams(g, n, (_bound(clause + " genus square bound", lhs, rhs),))
