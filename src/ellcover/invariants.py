@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .errors import InvalidInvariants, ParityViolation
@@ -113,8 +113,12 @@ class Placement(Enum):
     DISTINCT_HALF_PERIODS = "distinct-half-periods"
 
 
-# how many half-period indices travel with each placement: (i0,), (), (k, j)
-_INDEX_COUNT = dict(zip(Placement, (1, 0, 2)))
+# the sorted half-period index tuples each placement takes
+_INDICES = {
+    Placement.SAME_PROJECTION: {(i,) for i in range(4)},
+    Placement.DISTINCT_GENERIC: {()},
+    Placement.DISTINCT_HALF_PERIODS: set(combinations(range(4), 2)),
+}
 
 
 def half_period_indices(placement: Placement, indices) -> tuple[int, ...]:
@@ -123,10 +127,9 @@ def half_period_indices(placement: Placement, indices) -> tuple[int, ...]:
     generic points.  A wrong count, a duplicate or an index outside 0..3
     raises InvalidInvariants."""
     idx = tuple(sorted(indices))
-    count = _INDEX_COUNT[placement]
-    if len(idx) != count or len(set(idx).intersection(range(4))) != count:
+    if idx not in _INDICES[placement]:
         raise InvalidInvariants(
-            f"{placement.value} takes {count} distinct indices in 0..3, got {indices}"
+            f"{placement.value} takes one of {sorted(_INDICES[placement])}, got {indices}"
         )
     return idx
 
