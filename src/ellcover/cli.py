@@ -166,7 +166,7 @@ def _parse_ints(text: str, count: int):
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
 
 
-def _vec4_arg(text: str):
+def _int4_arg(text: str):
     return _parse_ints(text, 4)
 
 
@@ -429,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--rho", type=int, default=None, help="kdv only (default 1)")
     p.add_argument("--m", type=int, default=None, help="kdv only (default 1)")
-    p.add_argument("--gamma", type=_vec4_arg, required=True, metavar="A,B,C,D")
+    p.add_argument("--gamma", type=_int4_arg, required=True, metavar="A,B,C,D")
     p.add_argument("--placement", choices=[pl.value for pl in inv.Placement], default=None,
                    help="nls|sg only (default distinct-generic)")
     p.set_defaults(handler=_cmd_check_cover)
@@ -437,12 +437,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct-68", help="generated (gamma, n, g) table")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mu", type=_vec4_arg, required=True, metavar="A,B,C,D")
+    p.add_argument("--mu", type=_int4_arg, required=True, metavar="A,B,C,D")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("family", help="(g, n) for one of the six family cases")
     p.add_argument("--theorem", choices=inv.FAMILY_CASES, required=True)
-    p.add_argument("--alpha", type=_vec4_arg, required=True, metavar="A,B,C,D")
+    p.add_argument("--alpha", type=_int4_arg, required=True, metavar="A,B,C,D")
     p.add_argument("--at-half-period", action="store_true")
     p.add_argument("--j0", type=int, default=None)
     p.set_defaults(handler=_cmd_family)

@@ -497,7 +497,7 @@ class FamilySpec:
         if self.case == "6.14":
             if a == (0, 0, 0, 0):
                 raise InvalidInvariants("case 6.14 requires alpha != 0")
-            if a1 % 2 != self.at_half_period:
+            if a1 % 2 != bool(self.at_half_period):
                 raise ParityViolation(
                     "case 6.14 needs a half-period base point exactly when the alpha sum is odd"
                 )
