@@ -3,8 +3,10 @@
 The files under tests/golden/ were written once by the CLI and are
 compared byte for byte, in JSON and CSV, together with the exit code.
 Float output is not pinned here, since its last digits may differ across
-platforms."""
+platforms.  Tables too large to commit are pinned by the sha256 of their
+bytes instead."""
 
+import hashlib
 import os
 
 import pytest
@@ -58,3 +60,25 @@ def test_stdout_matches_golden_bytes(name, fmt, capsys):
     with open(os.path.join(GOLDEN, f"{name}.{fmt}"), "rb") as fh:
         expected = fh.read()
     assert capsys.readouterr().out.encode() == expected
+
+
+# (n, d) -> sha256 of stdout per format; 2,437 and 8,988 rows, exit code 0
+LARGE_TABLES = {
+    (1000, 4): {
+        "json": "e2eadc2c9483e947fc1c136a43504387c33c8fcdcae9b7c531d24193654711b0",
+        "csv": "0e24cb6cb3a80ed5e0879fac84cfd8f62a6d1da5ad13ed986f14d67d76d0781d",
+    },
+    (500, 20): {
+        "json": "a621fc116b473d1952fccf4578c9e07980a0f22f68d862beb79189d920081a31",
+        "csv": "9af80cef90e76737fc70a31de74905ad89ec0efb5a71e28d943a653dca456fc8",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n,d", sorted(LARGE_TABLES))
+def test_large_enumeration_matches_golden_digest(n, d, fmt, capsys):
+    argv = ["--format", fmt, "enumerate-types", "--n", str(n), "--d", str(d)]
+    assert cli.run(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == LARGE_TABLES[(n, d)][fmt]
