@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -60,36 +61,60 @@ def _fmt_float(x: float) -> str:
     return "%.12g" % x
 
 
-def _json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f'"{v.numerator}/{v.denominator}"'
-    if isinstance(v, complex):
-        return '{"re": %s, "im": %s}' % (_fmt_float(v.real), _fmt_float(v.imag))
-    if isinstance(v, str):
-        out = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        items = ", ".join(f'"{k}": {_json_value(x)}' for k, x in v.items())
-        return "{" + items + "}"
+# RFC 8259 string escapes: the quote, the backslash and every control character
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {0x22: '\\"', 0x5C: "\\\\"}
+
+
+def _json_str(v: str) -> str:
+    if not v.isprintable() or '"' in v or "\\" in v:
+        v = v.translate(_JSON_ESCAPES)
+    return f'"{v}"'
+
+
+_json_key = functools.lru_cache(maxsize=256)(lambda k: _json_str(str(k)))  # keys recur per row
+
+
+def _json_seq(v) -> str:
+    return "[" + ", ".join([_JSON_BY_TYPE.get(type(x), _json_subclassed)(x) for x in v]) + "]"
+
+
+def _json_dict(v) -> str:
+    return "{" + ", ".join([f"{_json_key(k)}: {_JSON_BY_TYPE.get(type(x), _json_subclassed)(x)}"
+                            for k, x in v.items()]) + "}"
+
+
+# looked up by exact type; an instance of a subclass (np.float64) takes the
+# first entry it is an instance of
+_JSON_ENCODERS = (
+    (type(None), lambda v: "null"),
+    (bool, ("false", "true").__getitem__),
+    (int, str),
+    (float, _fmt_float),
+    (Fraction, lambda v: str(v) if v.denominator == 1 else f'"{v}"'),
+    (complex, lambda v: '{"re": %s, "im": %s}' % (_fmt_float(v.real), _fmt_float(v.imag))),
+    (str, _json_str),
+    (list, _json_seq),
+    (tuple, _json_seq),
+    (dict, _json_dict),
+)
+_JSON_BY_TYPE = dict(_JSON_ENCODERS)
+
+
+def _json_subclassed(v) -> str:
+    for t, encode in _JSON_ENCODERS:
+        if isinstance(v, t):
+            return encode(v)
     raise TypeError(f"cannot serialize {type(v)}")
+
+
+def _json_value(v) -> str:
+    return _JSON_BY_TYPE.get(type(v), _json_subclassed)(v)
 
 
 def _json_rows(rows: list[dict]) -> str:
     parts = []
     for row in rows:
-        fields = ",\n".join(f'    "{k}": {_json_value(v)}' for k, v in row.items())
+        fields = ",\n".join([f"    {_json_key(k)}: {_json_value(v)}" for k, v in row.items()])
         parts.append("  {\n" + fields + "\n  }")
     return "[\n" + ",\n".join(parts) + "\n]\n" if rows else "[]\n"
 
@@ -134,13 +159,9 @@ def _csv_rows(rows: list[dict]) -> str:
 
 
 def _verdict_dicts(verdicts) -> list[dict]:
-    out = []
-    for v in verdicts:
-        d = {"clause": v.clause, "ok": v.ok, "lhs": v.lhs, "rhs": v.rhs}
-        if v.informational:
-            d["informational"] = True
-        out.append(d)
-    return out
+    return [{"clause": c, "ok": ok, "lhs": lhs, "rhs": rhs, "informational": True} if info
+            else {"clause": c, "ok": ok, "lhs": lhs, "rhs": rhs}
+            for c, ok, lhs, rhs, info in verdicts]
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +503,12 @@ def run(argv=None) -> int:
     output = getattr(args, "output", None)
     text = _json_rows(rows) if fmt == "json" else _csv_rows(rows)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidInvariants, ParityViolation
 
@@ -143,8 +143,7 @@ def flipped_indices(n: int, gamma) -> tuple[int, ...]:
     return tuple([i for i, x in enumerate(gamma) if (x - n) % 2])
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one named clause: lhs related to rhs, ok iff satisfied.
 
     Informational clauses are reported but do not affect admissibility."""
@@ -173,6 +172,12 @@ def _bound(clause: str, lhs: int, rhs: int, informational: bool = False) -> Verd
 # ---------------------------------------------------------------------------
 
 
+def _m_divides(n: int, d: int, rho: int, m: int, gamma: Vec4) -> Verdict:
+    """Clause 5.4(4): m divides n, 2d - 1, rho and every gamma_i."""
+    rhs = (n, 2 * d - 1, rho, *gamma)
+    return Verdict("5.4(4) m divides", not any([x % m for x in rhs]), m, rhs)
+
+
 def evaluate_kdv(inv: CoverInvariants) -> list[Verdict]:
     """Evaluate every clause of the one-marked-point rule catalog."""
     n, d, g, rho, m = inv.n, inv.d, inv.g, inv.rho, inv.m
@@ -188,8 +193,7 @@ def evaluate_kdv(inv: CoverInvariants) -> list[Verdict]:
             2 * d - 1,
         )
     )
-    divisors_ok = all(x % m == 0 for x in (n, 2 * d - 1, rho, *gam))
-    out.append(Verdict("5.4(4) m divides", divisors_ok, m, (n, 2 * d - 1, rho, *gam)))
+    out.append(_m_divides(n, d, rho, m, gam.gamma))
     parities = ((gam[0] + 1) % 2, gam[1] % 2, gam[2] % 2, gam[3] % 2)
     out.append(
         Verdict("5.4(5) parity", all(p == n % 2 for p in parities), parities, n % 2)
@@ -345,6 +349,10 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
     and joined against the bucket of T - gamma_0^2 - gamma_1^2, so rows come
     out already sorted.  Genus is (gamma^(1) - 1)/2; gamma^(1) is odd for
     every solution, so the genus is always integral.
+
+    Rows share n, d, rho = m = 1, gamma^(2) = T and the parity pattern, so
+    only 5.4(4) (its rhs lists gamma) needs more than gamma^(1): evaluate_kdv
+    runs once per gamma^(1), and later rows reuse its list with their 5.4(4).
     """
     if n < 1 or d < 1:
         raise InvalidInvariants("need n >= 1 and d >= 1")
@@ -359,6 +367,7 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
                 break
             pairs.setdefault(s, []).append((g2, g3))
     out = []
+    shared: dict[int, tuple[Verdict, ...]] = {}  # gamma^(1) -> verdicts
     for g0 in range((n + 1) % 2, top + 1, 2):
         budget0 = target - g0 * g0
         for g1 in rest:
@@ -367,9 +376,15 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
                 break
             for g2, g3 in pairs.get(budget1, ()):
                 gamma = TypeVector((g0, g1, g2, g3))
-                genus = (gamma.total - 1) // 2
-                inv = CoverInvariants(n=n, d=d, g=genus, rho=1, m=1, gamma=gamma)
-                out.append(EnumeratedType(gamma, genus, tuple(evaluate_kdv(inv))))
+                total = g0 + g1 + g2 + g3
+                genus = (total - 1) // 2
+                first = shared.get(total)
+                if first is None:
+                    inv = CoverInvariants(n=n, d=d, g=genus, rho=1, m=1, gamma=gamma)
+                    verdicts = shared[total] = tuple(evaluate_kdv(inv))
+                else:  # 5.4(4) is evaluate_kdv's second verdict
+                    verdicts = (first[0], _m_divides(n, d, 1, 1, gamma.gamma), *first[2:])
+                out.append(EnumeratedType(gamma, genus, verdicts))
     return out
 
 

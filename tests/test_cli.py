@@ -2,8 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from ellcover.cli import _json_value
+from ellcover.invariants import Placement
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -175,6 +180,58 @@ def test_output_file(tmp_path):
     assert res.stdout == b""
     rows = json.loads(target.read_text())
     assert rows[0]["derived"] == {"g": 2, "n": 3}
+
+
+def test_unwritable_output_is_usage_error(tmp_path):
+    res = run_cli("enumerate-types", "--n", "5", "--d", "2",
+                  "--output", str(tmp_path / "missing" / "x.json"))
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"error: ") and b"Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("text", ["x\ny", "a\tb\r", "\x01\x1f", 'say "hi"', "back\\slash",
+                                  "caf\u00e9, \u65e5\u672c, \u2028", "\x7f", ""])
+def test_json_strings_are_escaped(text):
+    assert json.loads(_json_value({text: [text]})) == {text: [text]}
+
+
+class Count(int):
+    pass
+
+
+# value -> what the isinstance-chain serializer wrote for it
+SERIALIZED = [
+    (True, "true"),
+    (False, "false"),
+    (None, "null"),
+    (-7, "-7"),
+    (Count(5), "5"),
+    (0.1, "0.1"),
+    (np.float64(0.1), "0.1"),
+    (0.0, "0"),
+    (1e20, "1e+20"),
+    (np.float64(2.5e-7), "2.5e-07"),
+    (Fraction(3, 1), "3"),
+    (Fraction(1, 2), '"1/2"'),
+    (Fraction(-4, 6), '"-2/3"'),
+    (1.5 - 2j, '{"re": 1.5, "im": -2}'),
+    (complex(0, -0.0), '{"re": 0, "im": 0}'),
+    ("5.5(4) genus square bound", '"5.5(4) genus square bound"'),
+    (((1, (2, True)), [None, "s"]), '[[1, [2, true]], [null, "s"]]'),
+    ({"a": (1, 2), "b": {"c": [Fraction(1, 3)]}}, '{"a": [1, 2], "b": {"c": ["1/3"]}}'),
+]
+
+
+@pytest.mark.parametrize("value,text", SERIALIZED)
+def test_json_value_by_type(value, text):
+    assert _json_value(value) == text
+
+
+@pytest.mark.parametrize("value", [np.int64(3), Placement.SAME_PROJECTION, {1, 2}])
+def test_json_value_rejects_unknown_types(value):
+    with pytest.raises(TypeError):
+        _json_value(value)
 
 
 @pytest.mark.parametrize(

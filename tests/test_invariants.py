@@ -10,6 +10,7 @@ from ellcover.invariants import (
     FamilySpec,
     Placement,
     TypeVector,
+    Verdict,
     admissible,
     check_kdv,
     check_nls_toda,
@@ -85,6 +86,17 @@ def test_kdv_divisibility_clause():
     # m = 2 must divide n, 2d-1, rho and every gamma_i
     bad = check_kdv(CoverInvariants(4, 1, 1, 1, 2, TypeVector((1, 0, 0, 2))))
     assert any(v.clause.startswith("5.4(4)") for v in bad)
+
+
+def test_verdict_public_shape():
+    v = Verdict("5.5(1) genus vs type sum", True, 5, 7)
+    assert Verdict._fields == ("clause", "ok", "lhs", "rhs", "informational")
+    assert v.informational is False
+    assert (v.clause, v.ok, v.lhs, v.rhs) == ("5.5(1) genus vs type sum", True, 5, 7)
+    with pytest.raises(AttributeError):
+        v.ok = False
+    assert v == Verdict("5.5(1) genus vs type sum", True, 5, 7, False)
+    assert len({v, Verdict("5.5(1) genus vs type sum", True, 5, 7)}) == 1
 
 
 def test_kdv_verdict_order_is_stable():
@@ -260,6 +272,27 @@ def test_enumerate_meets_jacobi_four_square_count():
         assert weight == 2 * divisor_sum(type_square_target(n, d)), (n, d)
         gammas = [t.gamma.gamma for t in types]
         assert gammas == sorted(set(gammas)), (n, d)
+
+
+def typed(value):
+    """A value with the type of every part, so that 1 never passes for True."""
+    if isinstance(value, tuple):
+        return type(value), tuple(typed(x) for x in value)
+    return type(value), value
+
+
+SHARED_VERDICT_CASES = [(n, d) for n in range(1, 61) for d in (1, 2, 3, 7, 20)]
+SHARED_VERDICT_CASES += [(1000, 20)]
+
+
+def test_enumerate_verdicts_match_a_fresh_evaluation():
+    # enumerate_types evaluates the catalog once per gamma^(1) and swaps in
+    # each row's 5.4(4); every row must read as if evaluated on its own
+    for n, d in SHARED_VERDICT_CASES:
+        for t in enumerate_types(n, d):
+            fresh = evaluate_kdv(CoverInvariants(n, d, t.g, 1, 1, t.gamma))
+            assert typed(t.verdicts) == typed(tuple(fresh)), (n, d, t.gamma.gamma)
+            assert all(type(v) is Verdict for v in t.verdicts)
 
 
 def test_d1_types_are_exceptional_curve_vectors():
