@@ -71,7 +71,8 @@ def _json_str(v: str) -> str:
     return f'"{v}"'
 
 
-_json_key = functools.lru_cache(maxsize=256)(lambda k: _json_str(str(k)))  # keys recur per row
+# keys recur on every row; typed, so that True and 1.0 stay apart
+_json_key = functools.lru_cache(maxsize=256, typed=True)(lambda k: _json_str(str(k)))
 
 
 def _json_seq(v) -> str:
@@ -83,8 +84,7 @@ def _json_dict(v) -> str:
                             for k, x in v.items()]) + "}"
 
 
-# looked up by exact type; an instance of a subclass (np.float64) takes the
-# first entry it is an instance of
+# looked up by exact type; an instance of a subclass (np.float64) takes its first match
 _JSON_ENCODERS = (
     (type(None), lambda v: "null"),
     (bool, ("false", "true").__getitem__),

@@ -220,6 +220,8 @@ SERIALIZED = [
     ("5.5(4) genus square bound", '"5.5(4) genus square bound"'),
     (((1, (2, True)), [None, "s"]), '[[1, [2, true]], [null, "s"]]'),
     ({"a": (1, 2), "b": {"c": [Fraction(1, 3)]}}, '{"a": [1, 2], "b": {"c": ["1/3"]}}'),
+    ({True: None}, '{"True": null}'),
+    ({1.0: None}, '{"1.0": null}'),
 ]
 
 
