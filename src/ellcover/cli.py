@@ -4,10 +4,14 @@ Every subcommand emits a deterministic table, one row per result, as JSON
 (default) or CSV.  A row is {"inputs": ..., "derived": ..., "verdicts":
 [{"clause", "ok", "lhs", "rhs"}, ...]}; CSV flattens the same fields.
 Floats are printed with 12 significant digits and complex numbers as
-{"re": ..., "im": ...}, so repeated runs are byte-identical.
+{"re": ..., "im": ...}, so repeated runs are byte-identical.  The table is
+written in chunks of rows as they are encoded, not joined into one string;
+each verdict object is encoded once per table.
 
 Exit codes: 0 all checks passed / enumeration succeeded; 1 at least one
-verdict violated; 2 usage or numeric error.  Data goes to stdout,
+verdict violated; 2 usage or numeric error, or a failed write.  A write
+that fails mid-stream (a full disk, say) leaves a truncated --output file
+or partial stdout; nothing is rolled back.  Data goes to stdout,
 diagnostics to stderr.  There are no environment knobs.
 
 The integer subcommands never import numpy: the elliptic and kdv names
@@ -84,84 +88,115 @@ def _json_dict(v) -> str:
                             for k, x in v.items()]) + "}"
 
 
-# looked up by exact type; an instance of a subclass (np.float64) takes its first match
-_JSON_ENCODERS = (
-    (type(None), lambda v: "null"),
-    (bool, ("false", "true").__getitem__),
-    (int, str),
-    (float, _fmt_float),
-    (Fraction, lambda v: str(v) if v.denominator == 1 else f'"{v}"'),
-    (complex, lambda v: '{"re": %s, "im": %s}' % (_fmt_float(v.real), _fmt_float(v.imag))),
-    (str, _json_str),
-    (list, _json_seq),
-    (tuple, _json_seq),
-    (dict, _json_dict),
+def _json_verdict(v: inv.Verdict) -> str:
+    clause, ok, lhs, rhs, informational = v
+    text = (f'{{"clause": {_json_str(clause)}, "ok": {_json_value(ok)}, '
+            f'"lhs": {_json_value(lhs)}, "rhs": {_json_value(rhs)}')
+    return text + (', "informational": true}' if informational else "}")
+
+
+def _flat_seq(v) -> str:
+    return "(" + ";".join([_FLAT_BY_TYPE.get(type(x), _flat_subclassed)(x) for x in v]) + ")"
+
+
+def _flat_verdict(v: inv.Verdict) -> str:
+    if v.ok:
+        return f"{v.clause}:ok"
+    return f"{v.clause}:violated[lhs={_flat_value(v.lhs)} rhs={_flat_value(v.rhs)}]"
+
+
+def _flat_complex(v: complex) -> str:
+    return f"{_fmt_float(v.real)}{'+' if v.imag >= 0 else '-'}{_fmt_float(abs(v.imag))}i"
+
+
+# type, JSON text, CSV cell text (None: not a CSV cell)
+_ENCODERS = (
+    (type(None), lambda v: "null", lambda v: ""),
+    (bool, ("false", "true").__getitem__, ("false", "true").__getitem__),
+    (int, str, str),
+    (float, _fmt_float, _fmt_float),
+    (Fraction, lambda v: str(v) if v.denominator == 1 else f'"{v}"', str),
+    (complex, lambda v: '{"re": %s, "im": %s}' % (_fmt_float(v.real), _fmt_float(v.imag)),
+     _flat_complex),
+    (str, _json_str, str),
+    (inv.Verdict, _json_verdict, _flat_verdict),
+    (list, _json_seq, _flat_seq),
+    (tuple, _json_seq, _flat_seq),
+    (dict, _json_dict, None),
 )
-_JSON_BY_TYPE = dict(_JSON_ENCODERS)
 
 
-def _json_subclassed(v) -> str:
-    for t, encode in _JSON_ENCODERS:
-        if isinstance(v, t):
-            return encode(v)
-    raise TypeError(f"cannot serialize {type(v)}")
+def _encoder_column(column: int):
+    """One column of the table, looked up by exact type; an instance of a
+    subclass (np.float64) takes its first isinstance match in table order."""
+    def subclassed(v) -> str:
+        for row in _ENCODERS:
+            if row[column] and isinstance(v, row[0]):
+                return row[column](v)
+        raise TypeError(f"cannot serialize {type(v)}")
+    return {row[0]: row[column] for row in _ENCODERS if row[column]}, subclassed
+
+
+_JSON_BY_TYPE, _json_subclassed = _encoder_column(1)
+_FLAT_BY_TYPE, _flat_subclassed = _encoder_column(2)
 
 
 def _json_value(v) -> str:
     return _JSON_BY_TYPE.get(type(v), _json_subclassed)(v)
 
 
-def _json_rows(rows: list[dict]) -> str:
-    parts = []
-    for row in rows:
-        fields = ",\n".join([f"    {_json_key(k)}: {_json_value(v)}" for k, v in row.items()])
-        parts.append("  {\n" + fields + "\n  }")
-    return "[\n" + ",\n".join(parts) + "\n]\n" if rows else "[]\n"
-
-
 def _flat_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, complex):
-        return f"{_fmt_float(v.real)}{'+' if v.imag >= 0 else '-'}{_fmt_float(abs(v.imag))}i"
-    if isinstance(v, (list, tuple)):
-        return "(" + ";".join(_flat_value(x) for x in v) + ")"
-    return str(v)
+    return _FLAT_BY_TYPE.get(type(v), _flat_subclassed)(v)
 
 
-def _csv_rows(rows: list[dict]) -> str:
-    buf = io.StringIO()
+def _memo_by_identity(encode):
+    """`encode` memoised by object identity for one table write, whose rows
+    keep every object alive.  Not by equality: Verdict("c", True, 1, 1) ==
+    Verdict("c", True, True, 1), yet the two encode differently."""
+    texts: dict[int, str] = {}
+    return lambda v: texts.get(id(v)) or texts.setdefault(id(v), encode(v))
+
+
+# rows per write call: a few hundred KB of enumerate-types text
+_CHUNK_ROWS = 256
+
+
+def _json_rows(rows: list[dict], write) -> None:
+    verdict = _memo_by_identity(_json_value)
+
+    def field(key, value) -> str:
+        if key == "verdicts":
+            return "[" + ", ".join([verdict(v) for v in value]) + "]"
+        return _json_value(value)
+
+    chunk = ["["]
+    for i, row in enumerate(rows):
+        fields = ",\n".join([f"    {_json_key(k)}: {field(k, v)}" for k, v in row.items()])
+        chunk.append(("\n  {\n" if i == 0 else ",\n  {\n") + fields + "\n  }")
+        if len(chunk) >= _CHUNK_ROWS:
+            write("".join(chunk))
+            chunk.clear()
+    chunk.append("\n]\n" if rows else "]\n")
+    write("".join(chunk))
+
+
+def _csv_rows(rows: list[dict], write) -> None:
     if not rows:
-        return ""
-    header: list[str] = []
-    for section in ("inputs", "derived"):
-        header.extend(f"{section}.{k}" for k in rows[0].get(section, {}))
-    header.append("verdicts")
+        return
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        record = []
-        for section in ("inputs", "derived"):
-            record.extend(_flat_value(v) for v in row.get(section, {}).values())
-        vstrs = []
-        for v in row.get("verdicts", []):
-            status = "ok" if v["ok"] else f"violated[lhs={_flat_value(v['lhs'])} rhs={_flat_value(v['rhs'])}]"
-            vstrs.append(f"{v['clause']}:{status}")
-        record.append("; ".join(vstrs))
+    sections = ("inputs", "derived")
+    writer.writerow([f"{s}.{k}" for s in sections for k in rows[0].get(s, {})] + ["verdicts"])
+    verdict = _memo_by_identity(_flat_value)
+    for i, row in enumerate(rows, 1):
+        record = [_flat_value(v) for s in sections for v in row.get(s, {}).values()]
+        record.append("; ".join([verdict(v) for v in row.get("verdicts", ())]))
         writer.writerow(record)
-    return buf.getvalue()
-
-
-def _verdict_dicts(verdicts) -> list[dict]:
-    return [{"clause": c, "ok": ok, "lhs": lhs, "rhs": rhs, "informational": True} if info
-            else {"clause": c, "ok": ok, "lhs": lhs, "rhs": rhs}
-            for c, ok, lhs, rhs, info in verdicts]
+        if i % _CHUNK_ROWS == 0:
+            write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+    write(buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +262,7 @@ def _cmd_legendre(args) -> tuple[list[dict], int]:
             "eta2": complex(qp.eta2),
             "defect": defect,
         },
-        "verdicts": [
-            {"clause": "4.4 Legendre relation", "ok": defect <= tol, "lhs": defect, "rhs": tol}
-        ],
+        "verdicts": [inv.Verdict("4.4 Legendre relation", defect <= tol, defect, tol)],
     }
     return [row], 0 if defect <= tol else 1
 
@@ -250,7 +283,7 @@ def _cmd_enumerate_types(args) -> tuple[list[dict], int]:
                     "g": item.g,
                     "admissible": ok,
                 },
-                "verdicts": _verdict_dicts(item.verdicts),
+                "verdicts": item.verdicts,
             }
         )
     return rows, 0 if ok_all else 1
@@ -289,7 +322,7 @@ def _cmd_check_cover(args) -> tuple[list[dict], int]:
             "gamma2": gamma.square_sum,
             "admissible": ok,
         },
-        "verdicts": _verdict_dicts(verdicts),
+        "verdicts": verdicts,
     }
     return [row], 0 if ok else 1
 
@@ -307,10 +340,10 @@ def _cmd_construct(args) -> tuple[list[dict], int]:
                     "n": item.n,
                     "g": item.g,
                 },
-                "verdicts": _verdict_dicts(verdicts),
+                "verdicts": verdicts,
             }
         )
-    ok_all = all(all(v["ok"] for v in r["verdicts"]) for r in rows)
+    ok_all = all([inv.admissible(r["verdicts"]) for r in rows])
     return rows, 0 if ok_all else 1
 
 
@@ -319,7 +352,7 @@ def _cmd_family(args) -> tuple[list[dict], int]:
         args.theorem, args.alpha, at_half_period=args.at_half_period, j0=args.j0
     )
     result = inv.family_params(spec)
-    ok = all(v.ok for v in result.verdicts)
+    ok = inv.admissible(result.verdicts)
     row = {
         "inputs": {
             "case": args.theorem,
@@ -328,7 +361,7 @@ def _cmd_family(args) -> tuple[list[dict], int]:
             "j0": args.j0,
         },
         "derived": {"g": result.g, "n": result.n},
-        "verdicts": _verdict_dicts(result.verdicts),
+        "verdicts": result.verdicts,
     }
     return [row], 0 if ok else 1
 
@@ -349,14 +382,8 @@ def _cmd_picard_genus(args) -> tuple[list[dict], int]:
             "adjunction_genus": genus,
             "tilde_genus": tilde,
         },
-        "verdicts": [
-            {
-                "clause": "3.3(6) pullback parity",
-                "ok": parity_ok,
-                "lhs": [d_squared % 2, pullback_pairing % 2],
-                "rhs": [0, 0],
-            }
-        ],
+        "verdicts": [inv.Verdict("3.3(6) pullback parity", parity_ok,
+                                 [d_squared % 2, pullback_pairing % 2], [0, 0])],
     }
     return [row], 0 if parity_ok else 1
 
@@ -380,15 +407,13 @@ def _cmd_verify_kdv(args) -> tuple[list[dict], int]:
             ratio = monodromy_factor(lat, j, z0 + p) / monodromy_factor(lat, j, z0)
             mono = max(mono, abs(ratio - 1.0))
     per_tol = 10.0 * lat.tolerance
-    verdicts = [
-        {"clause": "4.2 KdV residual", "ok": res_stencil <= args.residual_tol,
-         "lhs": res_stencil, "rhs": args.residual_tol},
-        {"clause": "4.2 backend agreement", "ok": abs(res_stencil - res_chain) <= args.residual_tol,
-         "lhs": abs(res_stencil - res_chain), "rhs": args.residual_tol},
-        {"clause": "4.5 periodicity", "ok": perio <= per_tol, "lhs": perio, "rhs": per_tol},
-        {"clause": "4.5 monodromy", "ok": mono <= args.monodromy_tol,
-         "lhs": mono, "rhs": args.monodromy_tol},
+    bounds = [
+        ("4.2 KdV residual", res_stencil, args.residual_tol),
+        ("4.2 backend agreement", abs(res_stencil - res_chain), args.residual_tol),
+        ("4.5 periodicity", perio, per_tol),
+        ("4.5 monodromy", mono, args.monodromy_tol),
     ]
+    verdicts = [inv.Verdict(clause, lhs <= rhs, lhs, rhs) for clause, lhs, rhs in bounds]
     row = {
         "inputs": {
             "omega1": complex(lat.omega1),
@@ -406,7 +431,7 @@ def _cmd_verify_kdv(args) -> tuple[list[dict], int]:
         },
         "verdicts": verdicts,
     }
-    return [row], 0 if all(v["ok"] for v in verdicts) else 1
+    return [row], 0 if inv.admissible(verdicts) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +524,17 @@ def run(argv=None) -> int:
     except (EllcoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = getattr(args, "format", "json")
+    write_rows = _json_rows if getattr(args, "format", "json") == "json" else _csv_rows
     output = getattr(args, "output", None)
-    text = _json_rows(rows) if fmt == "json" else _csv_rows(rows)
-    if output:
-        try:
+    try:
+        if output:
             with open(output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+                write_rows(rows, fh.write)
+        else:
+            write_rows(rows, sys.stdout.write)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

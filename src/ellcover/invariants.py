@@ -57,6 +57,13 @@ class TypeVector:
             raise InvalidInvariants(f"type components must be >= 0, got {g}")
         object.__setattr__(self, "gamma", g)
 
+    @classmethod
+    def _trusted(cls, gamma: Vec4) -> TypeVector:
+        """A TypeVector of four ints >= 0 that the caller has already checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "gamma", gamma)
+        return self
+
     @property
     def total(self) -> int:
         """Sum of components (written gamma^(1))."""
@@ -375,7 +382,7 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
             if budget1 < 0:
                 break
             for g2, g3 in pairs.get(budget1, ()):
-                gamma = TypeVector((g0, g1, g2, g3))
+                gamma = TypeVector._trusted((g0, g1, g2, g3))
                 total = g0 + g1 + g2 + g3
                 genus = (total - 1) // 2
                 first = shared.get(total)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellcover.cli import _json_value
-from ellcover.invariants import Placement
+from ellcover import cli
+from ellcover.cli import _csv_rows, _flat_value, _json_rows, _json_value
+from ellcover.invariants import Placement, Verdict
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -350,3 +352,104 @@ def test_numeric_handlers_use_names_bound_from_outside(monkeypatch):
                     "--omega2", "3.141592653589793i", "--grid", "40,8"]) in (0, 1)
     assert calls == ["stencil", "chain"]
     assert cli.kdv_residual is wrapped
+
+
+# value -> the CSV cell text the isinstance-chain serializer wrote for it
+FLATTENED = [
+    (None, ""),
+    (True, "true"),
+    (False, "false"),
+    (-7, "-7"),
+    (Count(5), "5"),
+    (0.1, "0.1"),
+    (np.float64(0.1), "0.1"),
+    (0.0, "0"),
+    (1e20, "1e+20"),
+    (np.float64(2.5e-7), "2.5e-07"),
+    (Fraction(3, 1), "3"),
+    (Fraction(1, 2), "1/2"),
+    (Fraction(-4, 6), "-2/3"),
+    (1.5 - 2j, "1.5-2i"),
+    (complex(0.25, 3), "0.25+3i"),
+    (complex(0, -0.0), "0+0i"),
+    ("5.5(4) genus square bound", "5.5(4) genus square bound"),
+    ('a,b"c', 'a,b"c'),
+    (((1, (2, True)), [None, "s"]), "((1;(2;true));(;s))"),
+    ([], "()"),
+]
+
+
+@pytest.mark.parametrize("value,text", FLATTENED)
+def test_flat_value_by_type(value, text):
+    assert _flat_value(value) == text
+
+
+@pytest.mark.parametrize("value", [np.int64(3), Placement.SAME_PROJECTION, {1, 2}])
+def test_flat_value_rejects_unknown_types(value):
+    with pytest.raises(TypeError):
+        _flat_value(value)
+
+
+def test_verdicts_memoised_by_identity_not_equality():
+    one, true = Verdict("c", True, 1, 1), Verdict("c", True, True, 1)
+    low, low_true = Verdict("c", False, 1, 0), Verdict("c", False, True, 0)
+    info = Verdict("i", False, 2, 1, True)
+    assert one == true and low == low_true
+    rows = [{"inputs": {"k": 0}, "verdicts": [one, true, low, low_true, info]},
+            {"inputs": {"k": 1}, "verdicts": (low_true, low, true, one, info)}]
+    json_text, csv_text = [], []
+    _json_rows(rows, json_text.append)
+    _csv_rows(rows, csv_text.append)
+    a = '{"clause": "c", "ok": true, "lhs": 1, "rhs": 1}'
+    b = '{"clause": "c", "ok": true, "lhs": true, "rhs": 1}'
+    c = '{"clause": "c", "ok": false, "lhs": 1, "rhs": 0}'
+    d = '{"clause": "c", "ok": false, "lhs": true, "rhs": 0}'
+    i = '{"clause": "i", "ok": false, "lhs": 2, "rhs": 1, "informational": true}'
+    assert "".join(json_text) == (
+        "[\n"
+        '  {\n    "inputs": {"k": 0},\n'
+        f'    "verdicts": [{a}, {b}, {c}, {d}, {i}]\n  }},\n'
+        '  {\n    "inputs": {"k": 1},\n'
+        f'    "verdicts": [{d}, {c}, {b}, {a}, {i}]\n  }}\n'
+        "]\n"
+    )
+    assert "".join(csv_text) == (
+        "inputs.k,verdicts\n"
+        "0,c:ok; c:ok; c:violated[lhs=1 rhs=0]; c:violated[lhs=true rhs=0]; "
+        "i:violated[lhs=2 rhs=1]\n"
+        "1,c:violated[lhs=true rhs=0]; c:violated[lhs=1 rhs=0]; c:ok; c:ok; "
+        "i:violated[lhs=2 rhs=1]\n"
+    )
+
+
+class CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_file_equals_stdout_written_in_chunks(fmt, tmp_path, monkeypatch):
+    argv = ["--format", fmt, "enumerate-types", "--n", "500", "--d", "20"]
+    assert cli.run([*argv, "--output", str(tmp_path / "table")]) == 0
+    monkeypatch.setattr(sys, "stdout", CountingStdout())
+    assert cli.run(argv) == 0
+    assert sys.stdout.getvalue().encode() == (tmp_path / "table").read_bytes()
+    assert sys.stdout.writes > 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_write_failure_is_usage_error():
+    res = run_cli("enumerate-types", "--n", "500", "--d", "20", "--output", "/dev/full")
+    assert res.returncode == 2
+    assert res.stderr.startswith(b"error: ") and b"Traceback" not in res.stderr
+
+
+def test_empty_table():
+    json_text, csv_text = [], []
+    _json_rows([], json_text.append)
+    _csv_rows([], csv_text.append)
+    assert "".join(json_text) == "[]\n"
+    assert "".join(csv_text) == ""

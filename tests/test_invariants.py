@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ellcover.errors import InvalidInvariants, ParityViolation
 from ellcover.invariants import (
     CoverInvariants,
+    EnumeratedType,
     FamilySpec,
     Placement,
     TypeVector,
@@ -293,6 +294,16 @@ def test_enumerate_verdicts_match_a_fresh_evaluation():
             fresh = evaluate_kdv(CoverInvariants(n, d, t.g, 1, 1, t.gamma))
             assert typed(t.verdicts) == typed(tuple(fresh)), (n, d, t.gamma.gamma)
             assert all(type(v) is Verdict for v in t.verdicts)
+
+
+def test_enumerated_rows_equal_public_records():
+    # rows take a TypeVector from the search's own ints, without re-validation
+    for n, d in SHARED_VERDICT_CASES:
+        for t in enumerate_types(n, d):
+            public = EnumeratedType(TypeVector(list(t.gamma.gamma)), t.g, t.verdicts)
+            assert t == public and repr(t) == repr(public), (n, d, t.gamma.gamma)
+            assert hash(t.gamma) == hash(public.gamma)
+            assert type(t.gamma.gamma) is tuple and all(type(x) is int for x in t.gamma)
 
 
 def test_d1_types_are_exceptional_curve_vectors():
