@@ -90,16 +90,12 @@ class Grid:
     ht: float = 5.0e-4
     x_center: complex | None = None
     t_center: float = 0.0
-    x_order: int = 2
-    t_order: int = 2
 
     def __post_init__(self):
         if self.nx < 5 or self.nt < 3:
             raise InvalidInvariants("need nx >= 5 and nt >= 3 for the stencils")
         if self.hx <= 0 or self.ht <= 0:
             raise InvalidInvariants("grid spacings must be positive")
-        if self.x_order != 2 or self.t_order != 2:
-            raise InvalidInvariants("only second-order stencils are implemented")
 
     @classmethod
     def for_lattice(cls, lattice: Lattice, nx: int = 200, nt: int = 20) -> "Grid":

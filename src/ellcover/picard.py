@@ -16,52 +16,56 @@ form is fixed by
     s_i^2 = r_i^2 = -1,        all exceptional classes mutually orthogonal
                                and orthogonal to the pullbacks.
 
-Coefficients are stored with their signs as written, so the class of a
-degree-n cover carries negative s and r entries.  Genus computations are
-exact rationals; negative or non-integral outputs are legal values that
-flag inadmissibility upstream.
+Coefficients are integers (the one constructor rejects others) stored
+with their signs as written, so the class of a degree-n cover carries
+negative s and r entries.  Genus computations are exact rationals;
+negative or non-integral outputs are legal values that flag
+inadmissibility upstream.
 
 The quotient by the involution is a rational surface whose canonical class
-pulls back to e*(-2*C_o); classes invariant under the involution descend,
-halving self-intersection and canonical pairing (`TauInvariantClass`).
-Two-marked-point classes (`nls_sg_class`) take their placement model and
-parity rule from `invariants`.
+pulls back to e*(-2*C_o): an invariant class D descends to one of square
+D^2/2, canonical pairing -b and genus 1 + (D^2/2 - b)/2.  Two-marked-point
+classes (`nls_sg_class`) take their placement model and parity rule from
+`invariants`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import InvalidInvariants, ParityViolation
-from .invariants import Placement, TypeVector, Vec4, _vec4, flipped_indices, half_period_indices
-
-_ZERO4: Vec4 = (0, 0, 0, 0)
+from .invariants import Placement, TypeVector, Vec4, flipped_indices, half_period_indices
 
 
-@dataclass(frozen=True)
+def _integers(values, count: int) -> tuple[int, ...]:
+    """`values` as `count` ints; InvalidInvariants for another count or a non-integer."""
+    given = tuple(values)
+    ints = tuple(map(int, given))
+    if len(ints) != count or ints != given:
+        raise InvalidInvariants(f"expected {count} integers, got {given}")
+    return ints
+
+
+@dataclass(frozen=True, init=False)
 class DivisorClass:
     """Numerical divisor class in the basis (e*(C_o), e*(F), s_0..3, r_0..3)."""
 
     a: int
     b: int
-    s: Vec4 = _ZERO4
-    r: Vec4 = _ZERO4
+    s: Vec4
+    r: Vec4
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
-        object.__setattr__(self, "s", _vec4(self.s))
-        object.__setattr__(self, "r", _vec4(self.r))
+    def __init__(self, a: int, b: int, s: Vec4 = (0, 0, 0, 0), r: Vec4 = (0, 0, 0, 0)):
+        a, b = _integers((a, b), 2)
+        # the one checked constructor; frozen, so it fills __dict__ directly
+        self.__dict__.update(a=a, b=b, s=_integers(s, 4), r=_integers(r, 4))
 
     def dot(self, other: "DivisorClass") -> int:
-        return (
-            self.a * other.b
-            + self.b * other.a
-            - sum(x * y for x, y in zip(self.s, other.s))
-            - sum(x * y for x, y in zip(self.r, other.r))
-        )
+        s, r, t, u = self.s, self.r, other.s, other.r
+        return (self.a * other.b + self.b * other.a
+                - s[0] * t[0] - s[1] * t[1] - s[2] * t[2] - s[3] * t[3]
+                - r[0] * u[0] - r[1] * u[1] - r[2] * u[2] - r[3] * u[3])
 
     @property
     def self_intersection(self) -> int:
@@ -72,10 +76,10 @@ class DivisorClass:
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "DivisorClass":
-        c = [int(v) for v in coeffs]
+        c = tuple(coeffs)
         if len(c) != 10:
             raise InvalidInvariants(f"expected 10 integers, got {len(c)}")
-        return cls(c[0], c[1], tuple(c[2:6]), tuple(c[6:10]))
+        return cls(c[0], c[1], c[2:6], c[6:])
 
     def divided_by(self, m: int) -> "DivisorClass":
         """Divide all coefficients by m; every coefficient must be divisible."""
@@ -86,12 +90,8 @@ class DivisorClass:
         return DivisorClass.from_coefficients(c // m for c in self.coefficients())
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(
-            self.a + other.a,
-            self.b + other.b,
-            tuple(x + y for x, y in zip(self.s, other.s)),
-            tuple(x + y for x, y in zip(self.r, other.r)),
-        )
+        pairs = zip(self.coefficients(), other.coefficients())
+        return DivisorClass.from_coefficients(x + y for x, y in pairs)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self + (-1) * other
@@ -100,13 +100,8 @@ class DivisorClass:
         return (-1) * self
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        k = int(k)
-        return DivisorClass(
-            k * self.a,
-            k * self.b,
-            tuple(k * x for x in self.s),
-            tuple(k * x for x in self.r),
-        )
+        (k,) = _integers((k,), 1)
+        return DivisorClass.from_coefficients(k * c for c in self.coefficients())
 
 
 def section_class() -> DivisorClass:
@@ -119,14 +114,20 @@ def fiber_class() -> DivisorClass:
     return DivisorClass(0, 1)
 
 
+def _unit4(i: int) -> Vec4:
+    if i not in range(4):
+        raise InvalidInvariants(f"half-period index must be 0..3, got {i!r}")
+    return tuple(1 if j == i else 0 for j in range(4))  # type: ignore[return-value]
+
+
 def s_class(i: int) -> DivisorClass:
     """Exceptional class s_i over the half-period with index i."""
-    return DivisorClass(0, 0, tuple(1 if j == i else 0 for j in range(4)))
+    return DivisorClass(0, 0, _unit4(i))
 
 
 def r_class(i: int) -> DivisorClass:
     """Exceptional class r_i over the half-period with index i."""
-    return DivisorClass(0, 0, _ZERO4, tuple(1 if j == i else 0 for j in range(4)))
+    return DivisorClass(0, 0, (0, 0, 0, 0), _unit4(i))
 
 
 def intersect(d: DivisorClass, e: DivisorClass) -> int:
@@ -134,14 +135,17 @@ def intersect(d: DivisorClass, e: DivisorClass) -> int:
     return d.dot(e)
 
 
+_CANONICAL = DivisorClass(-2, 0, (1, 1, 1, 1), (1, 1, 1, 1))
+
+
 def canonical_class() -> DivisorClass:
     """Canonical class: -2*e*(C_o) plus all eight exceptional classes."""
-    return DivisorClass(-2, 0, (1, 1, 1, 1), (1, 1, 1, 1))
+    return _CANONICAL
 
 
 def adjunction_genus(d: DivisorClass) -> Fraction:
     """Arithmetic genus 1 + (D^2 + D.K)/2 as an exact rational."""
-    return Fraction(2 + d.self_intersection + d.dot(canonical_class()), 2)
+    return Fraction(2 + d.self_intersection + d.dot(_CANONICAL), 2)
 
 
 def cover_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
@@ -150,22 +154,25 @@ def cover_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
 
         e*(n*C_o + (2d-1)*F) - rho*s_0 - sum_i gamma_i * r_i
     """
-    n, d, rho = int(n), int(d), int(rho)
-    g = _vec4(gamma)
+    n, d, rho = _integers((n, d, rho), 3)
+    g = _integers(gamma, 4)
     if n < 1:
         raise InvalidInvariants(f"degree n must be >= 1, got {n}")
     if d < 1:
         raise InvalidInvariants(f"osculating order d must be >= 1, got {d}")
     if rho % 2 == 0 or not 1 <= rho <= 2 * d - 1:
-        raise InvalidInvariants(
-            f"ramification index rho={rho} must be odd with 1 <= rho <= {2 * d - 1}"
-        )
+        raise InvalidInvariants(f"ramification rho={rho} must be odd, 1 <= rho <= {2 * d - 1}")
     if any(x < 0 for x in g):
         raise InvalidInvariants(f"type vector must be non-negative, got {g}")
     return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), tuple(-x for x in g))
 
 
-_MINUS_TWO_SECTIONS = DivisorClass(-2, 0)
+def _descended(d: DivisorClass) -> tuple[int, int]:
+    """(D^2/2, -b), the square and canonical pairing of the class D descends to."""
+    square = d.self_intersection
+    if square % 2:
+        raise ParityViolation(f"self-intersection {square} is odd: not a pullback")
+    return square // 2, -d.b
 
 
 @dataclass(frozen=True)
@@ -173,43 +180,36 @@ class TauInvariantClass:
     """A divisor class asserted to be the pullback of a class downstairs.
 
     Pullback along the degree-2 quotient doubles both the self-intersection
-    and the pairing with the canonical class, so both must be even here.
+    and the pairing with the canonical class.  Only D^2 needs checking for
+    evenness: the pairing D.e*(-2C_o) is -2b, always even.
     """
 
     divisor: DivisorClass
 
     def __post_init__(self):
-        d2 = self.divisor.self_intersection
-        kp = self.divisor.dot(_MINUS_TWO_SECTIONS)
-        if d2 % 2:
-            raise ParityViolation(f"self-intersection {d2} is odd: not a pullback")
-        if kp % 2:
-            raise ParityViolation(f"canonical pairing {kp} is odd: not a pullback")
+        _descended(self.divisor)
 
     @property
     def quotient_self_intersection(self) -> int:
-        return self.divisor.self_intersection // 2
+        return _descended(self.divisor)[0]
 
     @property
     def quotient_canonical_pairing(self) -> int:
-        return self.divisor.dot(_MINUS_TWO_SECTIONS) // 2
+        return _descended(self.divisor)[1]
 
     @property
     def quotient_genus(self) -> Fraction:
-        return Fraction(
-            2 + self.quotient_self_intersection + self.quotient_canonical_pairing, 2
-        )
+        return tilde_genus(self.divisor)
 
 
-def tilde_genus(d: Union[DivisorClass, TauInvariantClass]) -> Fraction:
+def tilde_genus(d: DivisorClass | TauInvariantClass) -> Fraction:
     """Arithmetic genus of the descended class on the quotient surface.
 
-    Exact rational 1 + (D^2/2 + D.e*(-2C_o)/2)/2; raises ParityViolation
-    when D is not a pullback (odd self-intersection or canonical pairing).
+    Exact rational 1 + (D^2/2 - b)/2; ParityViolation when D^2 is odd.
     """
-    if isinstance(d, DivisorClass):
-        d = TauInvariantClass(d)
-    return d.quotient_genus
+    if isinstance(d, TauInvariantClass):
+        d = d.divisor
+    return Fraction(2 + sum(_descended(d)), 2)
 
 
 def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClass:
@@ -226,15 +226,13 @@ def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClas
     and none otherwise.
     """
     idx = half_period_indices(placement, indices)
-    n = int(n)
+    (n,) = _integers((n,), 1)
     if n < 1:
         raise InvalidInvariants(f"degree n must be >= 1, got {n}")
-    g = TypeVector(gamma).gamma
+    g = TypeVector(_integers(gamma, 4)).gamma
     want = idx if placement is Placement.DISTINCT_HALF_PERIODS else ()
     if flipped_indices(n, g) != want:
-        raise ParityViolation(
-            f"type {g} at degree n = {n} needs gamma_i != n (mod 2) exactly at {want}"
-        )
+        raise ParityViolation(f"type {g} at n = {n} needs gamma_i != n (mod 2) exactly at {want}")
     # one shared half-period carries s_{i0} twice, two distinct ones once each
     s = tuple(-2 // len(idx) if i in idx else 0 for i in range(4))
     return DivisorClass(n, 2, s, tuple(-x for x in g))
@@ -242,12 +240,10 @@ def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClas
 
 def parity_exceptional_index(alpha) -> int:
     """Index whose parity differs from the other three; ParityViolation if absent."""
-    a = _vec4(alpha)
-    odd = [i for i in range(4) if a[i] % 2]
-    if len(odd) == 1:
-        return odd[0]
-    if len(odd) == 3:
-        return next(i for i in range(4) if a[i] % 2 == 0)
+    a = _integers(alpha, 4)
+    for k in range(4):
+        if all((a[i] - a[k]) % 2 for i in range(4) if i != k):
+            return k
     raise ParityViolation(f"no unique parity-exceptional index in {a}")
 
 
@@ -258,19 +254,17 @@ def exceptional_class(alpha) -> DivisorClass:
         e*(n*C_o + F_k) - s_k - sum_i alpha_i r_i
     (F_k is a fiber, hence b = 1 numerically).
     """
-    a = _vec4(alpha)
+    a = _integers(alpha, 4)
     if any(x < 0 for x in a):
         raise InvalidInvariants(f"alpha must be non-negative, got {a}")
     sq = sum(x * x for x in a)
     if sq % 2 == 0:
         raise ParityViolation(f"sum of squares {sq} must be odd")
-    k = parity_exceptional_index(a)
-    n = (sq - 1) // 2
-    s = tuple(-1 if i == k else 0 for i in range(4))
-    return DivisorClass(n, 1, s, tuple(-x for x in a))
+    s = tuple(-x for x in _unit4(parity_exceptional_index(a)))
+    return DivisorClass((sq - 1) // 2, 1, s, tuple(-x for x in a))
 
 
 def is_exceptional_first_kind(d: DivisorClass) -> bool:
-    """True when the descended class has self-intersection -1 and canonical
-    pairing -1, i.e. the pullback satisfies D^2 = D.e*(-2C_o) = -2."""
-    return d.self_intersection == -2 and d.dot(_MINUS_TWO_SECTIONS) == -2
+    """True when D descends to a class with self-intersection -1 and
+    canonical pairing -1, i.e. D^2 = -2 and b = 1."""
+    return d.self_intersection % 2 == 0 and _descended(d) == (-1, -1)

@@ -447,6 +447,20 @@ def test_write_failure_is_usage_error():
     assert res.stderr.startswith(b"error: ") and b"Traceback" not in res.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_buffered_stdout_failure_is_usage_error():
+    # a small table stays in the block buffer until exit, when the write fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "ellcover", "family", "--theorem", "6.18", "--alpha", "0,0,0,0"],
+            stdout=full, stderr=subprocess.PIPE, env=env,
+        )
+    assert res.returncode == 2
+    assert res.stderr.startswith(b"error: ") and b"Exception ignored" not in res.stderr
+
+
 def test_empty_table():
     json_text, csv_text = [], []
     _json_rows([], json_text.append)

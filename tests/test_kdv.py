@@ -69,7 +69,7 @@ def test_grid_validation():
         Grid(nx=3)
     with pytest.raises(InvalidInvariants):
         Grid(hx=-1.0)
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(TypeError):  # stencils are second order only, with no option
         Grid(x_order=4)
     with pytest.raises(InvalidInvariants):
         kdv_residual(TravelingWave(LAT), time_derivative="spectral")

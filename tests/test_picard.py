@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -253,3 +254,29 @@ def test_class_arithmetic():
     d = section_class() + 2 * fiber_class() - s_class(1)
     assert d.coefficients() == (1, 2, 0, -1, 0, 0, 0, 0, 0, 0)
     assert (-d).coefficients() == (-1, -2, 0, 1, 0, 0, 0, 0, 0, 0)
+
+
+def test_bad_input_fails_loudly():
+    d = cover_class(3, 1, 1, (2, 1, 1, 1))  # odd coefficients, so 2.5 * d is not integral
+    for build in (
+        lambda: s_class(7),
+        lambda: r_class(-1),
+        lambda: s_class(1.5),
+        lambda: DivisorClass(1.7, 0, (1.5, 0, 0, 0)),
+        lambda: DivisorClass(0, 0, (0, 0, 0)),
+        lambda: DivisorClass.from_coefficients([1.9] * 10),
+        lambda: 2.5 * d,
+        lambda: cover_class(3, 1.5, 1, (2, 1, 1, 1)),
+        lambda: cover_class(3, 1, 1, (2, 1.5, 1, 1)),
+        lambda: nls_sg_class(4.5, Placement.DISTINCT_GENERIC, (2, 2, 2, 2)),
+        lambda: exceptional_class((1.5, 0, 0, 0)),
+    ):
+        with pytest.raises(InvalidInvariants):
+            build()
+    # integers, numpy integers, bools and integral floats are stored as ints
+    e = DivisorClass(np.int64(3), True, (np.int32(-1), 0, 0, 0), (-2.0, -1, -1, -1))
+    assert e == d and hash(e) == hash(d) and repr(e) == repr(d)
+    assert all(type(c) is int for c in e.coefficients())
+    assert np.int64(2) * d == d + d and True * d == d
+    assert s_class(np.int64(2)) == s_class(2) and r_class(True) == r_class(1)
+    assert repr(s_class(2)) == "DivisorClass(a=0, b=0, s=(0, 0, 1, 0), r=(0, 0, 0, 0))"
