@@ -257,13 +257,18 @@ class Lattice:
         parity = np.where(np.signbit(v.imag), -1.0, 1.0)
         v *= parity
         sums = {name: np.empty(z.shape, complex) for name in want}
-        for lo in range(0, z.size, self._block):
-            w = 2j * v[lo : lo + self._block]
+        # one pair of points-by-rows buffers per call, sliced for the last block
+        width = max(1, min(self._block, z.size))
+        s_buf = np.empty((2 * rows + 1, width), complex)
+        d_buf = np.empty_like(s_buf)
+        for lo in range(0, z.size, width):
+            w = 2j * v[lo : lo + width]
             blk = slice(lo, lo + w.size)
-            s = np.empty((2 * rows + 1, w.size), complex)
+            s, d = s_buf[:, : w.size], d_buf[:, : w.size]
             np.multiply(q2n[:, None], np.exp(w), out=s[: rows + 1])
             np.multiply(q2n[:-1, None], np.exp(TWO_PI_I * self._tau - w), out=s[rows + 1 :])
-            d = 1.0 / (1.0 - s)
+            np.subtract(1.0, s, out=d)
+            np.divide(1.0, d, out=d)
             t = np.multiply(s, d, out=s)
             if "zeta" in sums:
                 sums["zeta"][blk] = t[: rows + 1].sum(axis=0) - t[rows + 1 :].sum(axis=0)
@@ -271,7 +276,9 @@ class Lattice:
             if "wp" in sums:
                 sums["wp"][blk] = td.sum(axis=0)
             if "wp_prime" in sums:
-                u = np.multiply(td, 2.0 * t + 1.0, out=t)
+                np.multiply(2.0, t, out=t)
+                np.add(t, 1.0, out=t)
+                u = np.multiply(td, t, out=t)
                 sums["wp_prime"][blk] = u[: rows + 1].sum(axis=0) - u[rows + 1 :].sum(axis=0)
         finish = {
             "wp": lambda a: -(k**2) * (4.0 * a + self._row_constant),

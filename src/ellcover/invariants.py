@@ -37,11 +37,13 @@ from .errors import InvalidInvariants, ParityViolation
 Vec4 = tuple[int, int, int, int]
 
 
-def _vec4(values) -> Vec4:
-    t = tuple(int(v) for v in values)
-    if len(t) != 4:
-        raise InvalidInvariants(f"expected 4 integers, got {len(t)}")
-    return t  # type: ignore[return-value]
+def _integers(values, count: int) -> tuple[int, ...]:
+    """`values` as `count` ints; InvalidInvariants for another count or a non-integer."""
+    given = tuple(values)
+    ints = tuple(map(int, given))
+    if len(ints) != count or ints != given:
+        raise InvalidInvariants(f"expected {count} integers, got {given}")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class TypeVector:
     gamma: Vec4
 
     def __post_init__(self):
-        g = _vec4(self.gamma)
+        g = _integers(self.gamma, 4)
         if any(x < 0 for x in g):
             raise InvalidInvariants(f"type components must be >= 0, got {g}")
         object.__setattr__(self, "gamma", g)
@@ -97,6 +99,9 @@ class CoverInvariants:
     gamma: TypeVector
 
     def __post_init__(self):
+        n, d, g, rho, m = _integers((self.n, self.d, self.g, self.rho, self.m), 5)
+        # frozen, so the checked ints go into __dict__ directly
+        self.__dict__.update(n=n, d=d, g=g, rho=rho, m=m)
         if self.n < 1:
             raise InvalidInvariants(f"degree n must be >= 1, got {self.n}")
         if self.d < 1:
@@ -106,7 +111,7 @@ class CoverInvariants:
         if self.m < 1:
             raise InvalidInvariants(f"image degree m must be >= 1, got {self.m}")
         if not isinstance(self.gamma, TypeVector):
-            object.__setattr__(self, "gamma", TypeVector(_vec4(self.gamma)))
+            object.__setattr__(self, "gamma", TypeVector(self.gamma))
 
 
 class Placement(Enum):
@@ -428,8 +433,8 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
     with a negative entry is dropped, the rest are deduplicated and sorted.
     Every surviving triple passes the full rho = m = 1 clause catalog.
     """
-    d, k = int(d), int(k)
-    m = _vec4(mu)
+    d, k = _integers((d, k), 2)
+    m = _integers(mu, 4)
     if d < 2:
         raise InvalidInvariants(f"need osculating order d >= 2, got {d}")
     if k not in range(4):
@@ -473,7 +478,7 @@ def construct_closed_forms(d: int, mu) -> tuple[int, int]:
     """Closed forms for the eps = (0, d-1, d-1, d-1) pattern with all plus
     signs:  2g + 1 = (2d-1)*mu^(1) + 6(d-1)  and
             2n = (2d-1)*mu^(2) + 4(d-1)(mu_1 + mu_2 + mu_3) + 6d - 7."""
-    m = _vec4(mu)
+    m = _integers(mu, 4)
     m1 = sum(m)
     m2 = sum(x * x for x in m)
     two_g_plus_1 = (2 * d - 1) * m1 + 6 * (d - 1)
@@ -507,7 +512,7 @@ class FamilySpec:
             raise InvalidInvariants(
                 f"case must be one of {FAMILY_CASES}, got {self.case!r}"
             )
-        a = _vec4(self.alpha)
+        a = _integers(self.alpha, 4)
         if any(x < 0 for x in a):
             raise InvalidInvariants(f"alpha must be non-negative, got {a}")
         object.__setattr__(self, "alpha", a)

@@ -35,16 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInvariants, ParityViolation
-from .invariants import Placement, TypeVector, Vec4, flipped_indices, half_period_indices
-
-
-def _integers(values, count: int) -> tuple[int, ...]:
-    """`values` as `count` ints; InvalidInvariants for another count or a non-integer."""
-    given = tuple(values)
-    ints = tuple(map(int, given))
-    if len(ints) != count or ints != given:
-        raise InvalidInvariants(f"expected {count} integers, got {given}")
-    return ints
+from .invariants import (Placement, TypeVector, Vec4, _integers, flipped_indices,
+                         half_period_indices)
 
 
 @dataclass(frozen=True, init=False)
@@ -229,7 +221,7 @@ def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClas
     (n,) = _integers((n,), 1)
     if n < 1:
         raise InvalidInvariants(f"degree n must be >= 1, got {n}")
-    g = TypeVector(_integers(gamma, 4)).gamma
+    g = TypeVector(gamma).gamma
     want = idx if placement is Placement.DISTINCT_HALF_PERIODS else ()
     if flipped_indices(n, g) != want:
         raise ParityViolation(f"type {g} at n = {n} needs gamma_i != n (mod 2) exactly at {want}")

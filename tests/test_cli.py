@@ -350,7 +350,7 @@ def test_numeric_handlers_use_names_bound_from_outside(monkeypatch):
     monkeypatch.setattr(cli, "kdv_residual", wrapped)
     assert cli.run(["verify-kdv", "--omega1", "3.141592653589793",
                     "--omega2", "3.141592653589793i", "--grid", "40,8"]) in (0, 1)
-    assert calls == ["stencil", "chain"]
+    assert calls == [("stencil", "chain")]
     assert cli.kdv_residual is wrapped
 
 

@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +57,22 @@ def test_cover_invariants_field_domains():
         make_inv(1, 1, -1)
     # rho = 2 is a *claim*, rejected by the checker rather than the constructor
     assert make_inv(2, 2, 1, rho=2, gamma=(1, 0, 0, 0)).rho == 2
+
+
+def test_invariant_records_reject_non_integers():
+    for build in (
+        lambda: TypeVector((1.5, 2, 2, 2)),
+        lambda: FamilySpec("6.13", (1.9, 0, 0, 0)),
+        lambda: CoverInvariants(3.7, 1, 2, 1, 1, (2, 1, 1, 1)),
+        lambda: CoverInvariants(3, 1, 2, 1, 1, (2, 1, 0.5, 1)),
+    ):
+        with pytest.raises(InvalidInvariants):
+            build()
+    # integral floats, numpy integers and bools are stored as ints
+    record = CoverInvariants(3.0, np.int64(1), True, 1, 1, (2.0, np.int64(1), True, 1))
+    assert (record.n, record.d, record.g, record.gamma.gamma) == (3, 1, 1, (2, 1, 1, 1))
+    assert all(type(x) is int for x in (record.n, record.d, record.g, *record.gamma))
+    assert FamilySpec("6.13", (1.0, 0, 0, 0)).alpha == (1, 0, 0, 0)
 
 
 # -- check_kdv ------------------------------------------------------------------

@@ -52,6 +52,49 @@ def test_backends_agree_within_stencil_error(grid):
     assert abs(kdv_residual(w, grid) - kdv_residual(w, grid, "chain")) < 1e-6
 
 
+@pytest.mark.parametrize("tau, rows", [(complex(0.1, 1.5), 6), (complex(0.1, 0.8), 7)])
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_backend_tuple_matches_single_calls(tau, rows, lam):
+    lat = Lattice(math.pi, tau * math.pi)
+    assert lat._rows == rows
+    w = TravelingWave(lat, lam=lam, x0=0.2)
+    for nx, nt in ((40, 8), (97, 13)):
+        g = Grid.for_lattice(lat, nx=nx, nt=nt)
+        stencil, chain = kdv_residual(w, g), kdv_residual(w, g, "chain")
+        assert kdv_residual(w, g, ("stencil", "chain")) == (stencil, chain)
+        assert kdv_residual(w, g, ("chain", "stencil")) == (chain, stencil)
+        assert kdv_residual(w, g, ("chain",)) == (chain,)
+
+
+def test_verify_kdv_evaluates_each_grid_once(monkeypatch):
+    from ellcover import cli, kdv
+
+    seen = {"wp": [], "wp_prime": []}
+
+    def counting(name):
+        original = getattr(kdv, name)
+
+        def wrapped(lattice, z):
+            seen[name].append(np.size(z))
+            return original(lattice, z)
+
+        return wrapped
+
+    for name in seen:
+        monkeypatch.setattr(kdv, name, counting(name))
+    w = TravelingWave(LAT)
+    periodicity_check(w)
+    periodicity_points = sum(seen["wp"])
+    assert seen["wp_prime"] == []
+    seen["wp"].clear()
+    assert cli.run(["verify-kdv", "--omega1", "3.141592653589793",
+                    "--omega2", "3.141592653589793i", "--grid", "40,8"]) in (0, 1)
+    # u once over the 40x8 grid, wp' only on the (40-4)x(8-2) stencil core
+    assert sum(seen["wp"]) == 40 * 8 + periodicity_points
+    assert seen["wp"].count(40 * 8) == 1
+    assert seen["wp_prime"] == [36 * 6]
+
+
 def test_residual_second_order_convergence():
     # fixed window, refined spacing: truncation-dominated regime
     w = TravelingWave(LAT, lam=2.0)
@@ -73,6 +116,8 @@ def test_grid_validation():
         Grid(x_order=4)
     with pytest.raises(InvalidInvariants):
         kdv_residual(TravelingWave(LAT), time_derivative="spectral")
+    with pytest.raises(InvalidInvariants):
+        kdv_residual(TravelingWave(LAT), time_derivative=("stencil", "spectral"))
 
 
 def test_grid_hitting_a_pole_raises():
