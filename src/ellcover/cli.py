@@ -8,11 +8,14 @@ Floats are printed with 12 significant digits and complex numbers as
 written in chunks of rows as they are encoded, not joined into one string;
 each verdict object is encoded once per table.
 
-Exit codes: 0 all checks passed / enumeration succeeded; 1 at least one
-verdict violated; 2 usage or numeric error, or a failed write.  A write
-that fails mid-stream (a full disk, say) leaves a truncated --output file
-or partial stdout; nothing is rolled back.  Data goes to stdout,
-diagnostics to stderr.  There are no environment knobs.
+Handlers only build rows; `run` derives the exit code from their verdicts:
+0 when every verdict holds or is informational, else 1; 2 for a usage or
+numeric error or a failed write.  Only check-cover, picard-genus and
+verify-kdv can exit 1: the other tables hold by construction (legendre
+raises at the bound its verdict states).  A write that fails mid-stream (a
+full disk, say) leaves a truncated --output file or partial stdout; nothing
+is rolled back.  Data goes to stdout, diagnostics to stderr.  There are no
+environment knobs.
 
 The integer subcommands never import numpy: the elliptic and kdv names
 used by `legendre` and `verify-kdv` are bound into this module on first
@@ -242,11 +245,11 @@ def _tolerance(text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (rows, exit_code)
+# subcommand handlers: each returns its rows
 # ---------------------------------------------------------------------------
 
 
-def _cmd_legendre(args) -> tuple[list[dict], int]:
+def _cmd_legendre(args) -> list[dict]:
     _load_numeric()
     lat = Lattice(args.omega1, args.omega2, args.precision)
     qp = quasi_periods(lat)
@@ -265,32 +268,27 @@ def _cmd_legendre(args) -> tuple[list[dict], int]:
         },
         "verdicts": [inv.Verdict("4.4 Legendre relation", defect <= tol, defect, tol)],
     }
-    return [row], 0 if defect <= tol else 1
+    return [row]
 
 
-def _cmd_enumerate_types(args) -> tuple[list[dict], int]:
-    rows = []
-    ok_all = True
-    for item in inv.enumerate_types(args.n, args.d):
-        ok = inv.admissible(item.verdicts)
-        ok_all = ok_all and ok
-        rows.append(
-            {
-                "inputs": {"n": args.n, "d": args.d},
-                "derived": {
-                    "gamma": list(item.gamma),
-                    "gamma1": item.gamma.total,
-                    "gamma2": item.gamma.square_sum,
-                    "g": item.g,
-                    "admissible": ok,
-                },
-                "verdicts": item.verdicts,
-            }
-        )
-    return rows, 0 if ok_all else 1
+def _cmd_enumerate_types(args) -> list[dict]:
+    return [
+        {
+            "inputs": {"n": args.n, "d": args.d},
+            "derived": {
+                "gamma": list(item.gamma),
+                "gamma1": item.gamma.total,
+                "gamma2": item.gamma.square_sum,
+                "g": item.g,
+                "admissible": inv.admissible(item.verdicts),
+            },
+            "verdicts": item.verdicts,
+        }
+        for item in inv.enumerate_types(args.n, args.d)
+    ]
 
 
-def _cmd_check_cover(args) -> tuple[list[dict], int]:
+def _cmd_check_cover(args) -> list[dict]:
     gamma = inv.TypeVector(args.gamma)
     inputs = {
         "case": args.case,
@@ -315,45 +313,34 @@ def _cmd_check_cover(args) -> tuple[list[dict], int]:
             verdicts = inv.evaluate_nls_toda(args.n, args.g, gamma, placement)
         else:
             verdicts = inv.evaluate_sine_gordon(args.n, args.g, gamma, placement)
-    ok = inv.admissible(verdicts)
     row = {
         "inputs": inputs,
         "derived": {
             "gamma1": gamma.total,
             "gamma2": gamma.square_sum,
-            "admissible": ok,
+            "admissible": inv.admissible(verdicts),
         },
         "verdicts": verdicts,
     }
-    return [row], 0 if ok else 1
+    return [row]
 
 
-def _cmd_construct(args) -> tuple[list[dict], int]:
-    rows = []
-    for item in inv.construct_types(args.d, args.k, args.mu):
-        record = inv.CoverInvariants(item.n, args.d, item.g, 1, 1, item.gamma)
-        verdicts = inv.evaluate_kdv(record)
-        rows.append(
-            {
-                "inputs": {"d": args.d, "k": args.k, "mu": list(args.mu)},
-                "derived": {
-                    "gamma": list(item.gamma),
-                    "n": item.n,
-                    "g": item.g,
-                },
-                "verdicts": verdicts,
-            }
-        )
-    ok_all = all([inv.admissible(r["verdicts"]) for r in rows])
-    return rows, 0 if ok_all else 1
+def _cmd_construct(args) -> list[dict]:
+    return [
+        {
+            "inputs": {"d": args.d, "k": args.k, "mu": list(args.mu)},
+            "derived": {"gamma": list(item.gamma), "n": item.n, "g": item.g},
+            "verdicts": item.verdicts,
+        }
+        for item in inv.construct_types(args.d, args.k, args.mu)
+    ]
 
 
-def _cmd_family(args) -> tuple[list[dict], int]:
+def _cmd_family(args) -> list[dict]:
     spec = inv.FamilySpec(
         args.theorem, args.alpha, at_half_period=args.at_half_period, j0=args.j0
     )
     result = inv.family_params(spec)
-    ok = inv.admissible(result.verdicts)
     row = {
         "inputs": {
             "case": args.theorem,
@@ -364,10 +351,10 @@ def _cmd_family(args) -> tuple[list[dict], int]:
         "derived": {"g": result.g, "n": result.n},
         "verdicts": result.verdicts,
     }
-    return [row], 0 if ok else 1
+    return [row]
 
 
-def _cmd_picard_genus(args) -> tuple[list[dict], int]:
+def _cmd_picard_genus(args) -> list[dict]:
     d = picard.DivisorClass.from_coefficients(args.cls)
     d_squared = d.self_intersection
     k_pairing = d.dot(picard.canonical_class())
@@ -386,10 +373,10 @@ def _cmd_picard_genus(args) -> tuple[list[dict], int]:
         "verdicts": [inv.Verdict("3.3(6) pullback parity", parity_ok,
                                  [d_squared % 2, 0], [0, 0])],
     }
-    return [row], 0 if parity_ok else 1
+    return [row]
 
 
-def _cmd_verify_kdv(args) -> tuple[list[dict], int]:
+def _cmd_verify_kdv(args) -> list[dict]:
     _load_numeric()
     lat = Lattice(args.omega1, args.omega2, args.precision)
     if args.grid is not None:
@@ -403,9 +390,10 @@ def _cmd_verify_kdv(args) -> tuple[list[dict], int]:
     z0 = 0.31 * 2 * lat.omega1 + 0.23 * 2 * lat.omega2
     mono = 0.0
     for j in (1, 2):
+        # scalar calls: an array call differs from them in the last bits
+        base = monodromy_factor(lat, j, z0)
         for p in lat.periods:
-            ratio = monodromy_factor(lat, j, z0 + p) / monodromy_factor(lat, j, z0)
-            mono = max(mono, abs(ratio - 1.0))
+            mono = max(mono, abs(monodromy_factor(lat, j, z0 + p) / base - 1.0))
     per_tol = 10.0 * lat.tolerance
     bounds = [
         ("4.2 KdV residual", res_stencil, args.residual_tol),
@@ -431,7 +419,7 @@ def _cmd_verify_kdv(args) -> tuple[list[dict], int]:
         },
         "verdicts": verdicts,
     }
-    return [row], 0 if inv.admissible(verdicts) else 1
+    return [row]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +508,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        rows, code = args.handler(args)
+        rows = args.handler(args)
     except (EllcoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -535,7 +523,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 0 if all(inv.admissible(row["verdicts"]) for row in rows) else 1
 
 
 def main() -> None:

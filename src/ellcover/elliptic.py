@@ -209,17 +209,17 @@ class Lattice:
         return 2.0 * complex(half[0]), 2.0 * complex(half[1])
 
     @cached_property
-    def _quasi(self) -> QuasiPeriods:
+    def _quasi(self) -> tuple[QuasiPeriods, float]:
+        """The quasi-period constants and their Legendre relation defect."""
         eta1 = 2.0 * complex(zeta(self, self.omega1))
         eta2 = 2.0 * complex(zeta(self, self.omega2))
-        qp = QuasiPeriods(eta1, eta2)
         p1, p2 = self.periods
         defect = abs(eta1 * p2 - eta2 * p1 - TWO_PI_I)
         if defect > 10.0 * self.tolerance:
             raise ConvergenceFailure(
                 f"Legendre relation defect {defect:.3e} exceeds 10*precision"
             )
-        return qp
+        return QuasiPeriods(eta1, eta2), defect
 
     # -- reduction ----------------------------------------------------------
 
@@ -339,11 +339,9 @@ def quasi_periods(lattice: Lattice) -> QuasiPeriods:
     Raises ConvergenceFailure if the computed pair violates Legendre's
     relation by more than 10*precision.
     """
-    return lattice._quasi
+    return lattice._quasi[0]
 
 
 def legendre_defect(lattice: Lattice) -> float:
     """|eta1*2*omega2 - eta2*2*omega1 - 2*pi*i| for this lattice."""
-    qp = quasi_periods(lattice)
-    p1, p2 = lattice.periods
-    return abs(qp.eta1 * p2 - qp.eta2 * p1 - TWO_PI_I)
+    return lattice._quasi[1]

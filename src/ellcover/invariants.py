@@ -168,7 +168,11 @@ class Verdict(NamedTuple):
 
 
 def admissible(verdicts: Iterable[Verdict]) -> bool:
-    return all(v.ok or v.informational for v in verdicts)
+    """True when every verdict holds or is informational."""
+    for v in verdicts:  # a loop, not all(genexpr): this runs once or twice per table row
+        if not (v.ok or v.informational):
+            return False
+    return True
 
 
 def violations(verdicts: Iterable[Verdict]) -> list[Verdict]:
@@ -407,9 +411,12 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
 
 @dataclass(frozen=True)
 class GeneratedType:
+    """A generated type, its degree and genus, and its rho = m = 1 verdicts."""
+
     gamma: TypeVector
     n: int
     g: int
+    verdicts: tuple[Verdict, ...] = field(repr=False)
 
 
 def _epsilon_patterns(d: int, k: int) -> list[tuple[int, ...]]:
@@ -431,7 +438,8 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
     Requires d >= 2, k in 0..3, and mu in N^4 with mu_0 + 1 = mu_1 = mu_2 =
     mu_3 (mod 2).  Sign choices are over-generated and filtered: any gamma
     with a negative entry is dropped, the rest are deduplicated and sorted.
-    Every surviving triple passes the full rho = m = 1 clause catalog.
+    Every survivor passes the full rho = m = 1 clause catalog and carries
+    that evaluation as its verdicts.
     """
     d, k = _integers((d, k), 2)
     m = _integers(mu, 4)
@@ -444,13 +452,13 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
     if any((m[0] + 1 - m[j]) % 2 for j in (1, 2, 3)):
         raise ParityViolation(f"need mu_0 + 1 = mu_j (mod 2) for j = 1..3, got {m}")
 
-    results: set[tuple[Vec4, int, int]] = set()
+    results: dict[Vec4, GeneratedType] = {}
     dd = 2 * d - 1
     for mags in _epsilon_patterns(d, k):
         sign_axes = [(-1, 1) if v else (0,) for v in mags]
         for signs in product(*sign_axes):
             gamma = tuple(dd * m[i] + signs[i] * mags[i] for i in range(4))
-            if any(x < 0 for x in gamma):
+            if gamma in results or any(x < 0 for x in gamma):
                 continue
             g2 = sum(x * x for x in gamma)
             num = g2 - 3
@@ -463,15 +471,13 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
             if g1 % 2 == 0:
                 continue
             g = (g1 - 1) // 2
-            inv = CoverInvariants(n=n, d=d, g=g, rho=1, m=1, gamma=TypeVector(gamma))
-            if check_kdv(inv):
-                continue
-            results.add((gamma, n, g))
+            vec = TypeVector(gamma)
+            verdicts = tuple(evaluate_kdv(CoverInvariants(n=n, d=d, g=g, rho=1, m=1, gamma=vec)))
+            if admissible(verdicts):
+                results[gamma] = GeneratedType(vec, n, g, verdicts)
 
-    return [
-        GeneratedType(TypeVector(gam), n, g)
-        for gam, n, g in sorted(results)
-    ]
+    # gamma fixes n and g, so sorting by gamma alone keeps the (gamma, n, g) order
+    return [results[gamma] for gamma in sorted(results)]
 
 
 def construct_closed_forms(d: int, mu) -> tuple[int, int]:

@@ -11,6 +11,7 @@ import pytest
 from ellcover import cli
 from ellcover.cli import _csv_rows, _flat_value, _json_rows, _json_value
 from ellcover.invariants import Placement, Verdict
+from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -258,6 +259,31 @@ def test_byte_identical_reruns(args):
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+PI = "3.141592653589793"
+# (exit code, argv): every golden command, the numeric subcommands, and a
+# violated table for each subcommand that can exit 1
+EXIT_CODES = sorted(GOLDEN_COMMANDS.values()) + [
+    (0, ("legendre", "--omega1", "0.7", "--omega2", "0.21+0.91i")),
+    (0, ("verify-kdv", "--omega1", PI, "--omega2", PI + "i", "--grid", "40,8")),
+    (1, ("check-cover", "--case", "kdv", "--n", "3", "--d", "1", "--g", "3",
+         "--gamma", "2,1,1,1")),
+    (1, ("picard-genus", "--class", "3,1,-1,0,0,0,-1,-1,-1,-1")),
+    (1, ("verify-kdv", "--omega1", PI, "--omega2", PI + "i", "--grid", "40,8",
+         "--residual-tol", "0")),
+]
+
+
+@pytest.mark.parametrize("code,argv", EXIT_CODES)
+def test_exit_code_is_derived_from_the_verdicts(code, argv):
+    args = cli._build_parser().parse_args(argv)
+    rows = args.handler(args)  # a handler returns its rows and nothing else
+    assert type(rows) is list and all(type(row) is dict for row in rows)
+    expected = 0 if all(v.ok or v.informational for row in rows for v in row["verdicts"]) else 1
+    assert expected == code
+    for fmt in ("json", "csv"):
+        assert cli.run(["--format", fmt, *argv]) == expected
 
 
 MISPLACED_FLAGS = [

@@ -366,6 +366,15 @@ def test_construct_outputs_pass_full_catalog():
                 assert item.g == (item.gamma.total - 1) // 2
 
 
+def test_construct_types_carry_a_fresh_evaluation():
+    for d, k in [(2, 0), (3, 1), (4, 2), (5, 3), (6, 0)]:
+        for mu in [(0, 1, 1, 1), (2, 1, 3, 1), (1, 2, 2, 0), (4, 3, 1, 3)]:
+            for item in construct_types(d, k, mu):
+                fresh = evaluate_kdv(CoverInvariants(item.n, d, item.g, 1, 1, item.gamma))
+                assert typed(item.verdicts) == typed(tuple(fresh)), (d, k, mu, item)
+                assert "verdicts" not in repr(item) and "Verdict" not in repr(item)
+
+
 def test_construct_closed_forms_match_generated_entry():
     for d in (2, 3, 4, 5):
         for mu in [(0, 1, 1, 1), (2, 1, 1, 3), (0, 3, 1, 1)]:

@@ -95,6 +95,29 @@ def test_verify_kdv_evaluates_each_grid_once(monkeypatch):
     assert seen["wp_prime"] == [36 * 6]
 
 
+def test_periodicity_and_monodromy_evaluate_each_point_once(monkeypatch):
+    from ellcover import cli, kdv
+
+    wp_points, mono_points = [], []
+    wp = kdv.wp
+    monkeypatch.setattr(kdv, "wp", lambda lattice, z: wp_points.append(np.size(z)) or wp(lattice, z))
+    w = TravelingWave(LAT, lam=1.0, x0=0.3)
+    p1, p2 = LAT.periods
+    # u on the 40x5 samples once, then once per period
+    assert periodicity_check(w) == shift_defect(w, p1, p2)
+    assert wp_points == [200, 200, 200] * 2
+    assert shift_defect(w, p1, p2) == max(shift_defect(w, p1), shift_defect(w, p2))
+
+    monodromy = cli.monodromy_factor
+    monkeypatch.setattr(cli, "monodromy_factor",
+                        lambda lat, j, z: mono_points.append((j, z)) or monodromy(lat, j, z))
+    assert cli.run(["verify-kdv", "--omega1", "3.141592653589793",
+                    "--omega2", "3.141592653589793i", "--grid", "40,8"]) == 0
+    # phi_1 and phi_2 at z0, z0 + p1 and z0 + p2, each once
+    assert len(mono_points) == 6 and len(set(mono_points)) == 6
+    assert len({z for _, z in mono_points}) == 3
+
+
 def test_residual_second_order_convergence():
     # fixed window, refined spacing: truncation-dominated regime
     w = TravelingWave(LAT, lam=2.0)
