@@ -494,7 +494,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=lambda s: _parse_ints(s, 2), default=None,
                    metavar="NX,NT")
     p.add_argument("--precision", type=float, default=1e-12)
-    p.add_argument("--residual-tol", type=_tolerance, default=1e-6)
+    p.add_argument("--residual-tol", type=_tolerance, default=1e-6,
+                   help="absolute bound on the KdV residual and the backend gap, "
+                   "calibrated for |2*omega1| near 2*pi (default 1e-6)")
     p.add_argument("--monodromy-tol", type=_tolerance, default=1e-8)
     p.set_defaults(handler=_cmd_verify_kdv)
 

@@ -23,12 +23,15 @@ in closed form,
 which turns the slowly convergent double sum into a single sum over rows
 whose terms decay like |q|^(2n), q = exp(i*pi*omega2/omega1).  The basis is
 Gauss-reduced internally first, so Im(tau) >= sqrt(3)/2 and a rigorous
-geometric tail bound picks the number of rows from the requested precision.
+geometric tail bound picks the series order from the requested precision.
 With v = pi*z/q1 reflected into Im v >= 0, every row is rational in E*q^(2n)
-or G*q^(2n-2), E = exp(2iv), G = exp(2i*(pi*tau - v)) (DLMF 23.8): wp, wp' and
-zeta share one kernel of two exponentials per point, run in blocks that keep
-each points-by-rows temporary near 1 MB.  A brute-force truncated lattice sum
-is kept as an independent cross-check in `elliptic_reference`.
+or G*q^(2n-2), E = exp(2iv), G = q^2/E (DLMF 23.8).  wp, wp' and zeta share
+one kernel: the two rows nearest z (s = E and s = G) in closed form, every
+other row through a Lambert series in powers of E and G whose coefficients
+are fixed per lattice, so a point costs one exponential, three divisions
+and one small matrix product, run in blocks that keep the power table near
+1 MB.  A brute-force truncated lattice sum is kept as an independent
+cross-check in `elliptic_reference`.
 
 Half-period representatives are fixed once and indexed 0..3:
 
@@ -62,8 +65,11 @@ POLE_EXCLUSION_FACTOR = 1e-3
 
 _MAX_ROWS = 512
 
-#: Values per points-by-rows temporary in `Lattice._series` (1 MB of complex128).
+#: Values in the power table of one block of `Lattice._series` (1 MB of complex128).
 _BLOCK_ELEMS = 1 << 16
+
+#: Power p of j in the series coefficients j^p * L_j of each function.
+_SERIES_POWER = {"zeta": 0, "wp": 1, "wp_prime": 2}
 
 
 class HalfPeriodIndex(IntEnum):
@@ -171,8 +177,23 @@ class Lattice:
 
     @cached_property
     def _rows(self) -> int:
-        """Number of resummed rows needed for the geometric tail to clear
-        the precision target (with a safety factor for prefactors)."""
+        """Truncation order of the Lambert series in `_series`: every term
+        x^j with j > rows is dropped.
+
+        With r = |q|^2 = exp(-2y) and y = pi*Im(tau) >= pi*sqrt(3)/2, r < 0.0044.
+        As |x| <= 1, a dropped term is at most j^2 * r^j / (1 - r) (wp' has
+        the largest coefficients, j^2 * L_j), and these bounds shrink by
+        ((j+1)/j)^2 * r < 0.006 per step, so each of the two series (x = E,
+        x = G) drops at most 1.02 * (rows+1)^2 * r^(rows+1).  The row count
+        is at least N + 2 with r^N <= precision / (64 * scale), so that is at
+        most 1.02 * (rows+1)^2 * r^3 * precision / (64 * scale), and
+        (rows+1)^2 * r^3 < 513^2 * 0.0044^3 < 0.023 for rows <= 512: the two
+        extra rows pay for the j^2 growth.  Over both series and the row
+        constant (whose tail is the same bound at x = 1), wp' and wp scale
+        these tails by at most 16*|pi/q1|^k <= 16*scale, and zeta by at most
+        4*|pi/q1| plus 8*|pi/q1|^2*|z| <= 4*pi*|pi/q1|*(1 + |tau|), which
+        leaves the truncation error below 0.02 * precision * (pi/L)^k.
+        """
         q1, _ = self._reduced
         y = math.pi * self._tau.imag
         pref = abs(math.pi / q1)
@@ -185,21 +206,43 @@ class Lattice:
         return max(n, 6)
 
     @cached_property
-    def _q2n(self) -> np.ndarray:
-        """q^(2n) = exp(2i*pi*tau*n) for n = 0..rows."""
-        return np.exp(TWO_PI_I * self._tau * np.arange(self._rows + 1))
+    def _q2(self) -> complex:
+        """q^2 = exp(2i*pi*tau); exactly 0 once it underflows (Im tau > 118.6)."""
+        return cmath.exp(TWO_PI_I * self._tau)
+
+    @cached_property
+    def _lambert(self) -> np.ndarray:
+        """Coefficient matrix of `_series`, whose rows p = 0, 1, 2 sum the
+        terms of zeta, wp and wp'.
+
+        Column 2i weighs the E-part of power-table row i and column 2i + 1
+        its G-part, which enters with sign_p = -1, 1, -1.  Table row i < rows
+        holds x^j, j = i + 1, with coefficient j^p * L_j and
+        L_j = q^(2j)/(1 - q^(2j)); table row rows + p holds the closed-form
+        f_p, with coefficient 1."""
+        rows = self._rows
+        j = np.arange(1, rows + 1)
+        q2j = np.exp(TWO_PI_I * self._tau * j)
+        lj = q2j / (1.0 - q2j)
+        coef = np.zeros((3, rows + 3, 2), complex)
+        for p, sign in enumerate((-1.0, 1.0, -1.0)):
+            coef[p, :rows, 0] = j**p * lj
+            coef[p, rows + p, 0] = 1.0
+            coef[p, :, 1] = sign * coef[p, :, 0]
+        return coef.reshape(3, -1)
 
     @cached_property
     def _block(self) -> int:
-        """Points per block of `_series`: a block's temporaries hold _BLOCK_ELEMS values."""
-        return max(1, _BLOCK_ELEMS // (2 * self._rows + 1))
+        """Points per block of `_series`: a block's power table holds at most
+        _BLOCK_ELEMS values."""
+        return max(1, _BLOCK_ELEMS // (2 * self._rows + 6))
 
     @cached_property
     def _row_constant(self) -> complex:
-        """1/3 + 2 * sum of csc^2(n*pi*tau) over n = 1..rows, the constant of
-        -wp and the z coefficient of zeta, in units of (pi/q1)^2."""
-        s = self._q2n[1:]
-        return 1.0 / 3.0 + complex(np.sum(-8.0 * s / (1.0 - s) ** 2))
+        """1/3 + 2 * sum of csc^2(n*pi*tau) over n >= 1, the constant of -wp
+        and the z coefficient of zeta, in units of (pi/q1)^2: the rows are
+        -4*q^(2n)/(1 - q^(2n))^2, which sum to -4 * sum of j*L_j."""
+        return 1.0 / 3.0 - 8.0 * complex(self._lambert[1, : 2 * self._rows : 2].sum())
 
     @cached_property
     def _reduced_quasi(self) -> tuple[complex, complex]:
@@ -211,8 +254,7 @@ class Lattice:
     @cached_property
     def _quasi(self) -> tuple[QuasiPeriods, float]:
         """The quasi-period constants and their Legendre relation defect."""
-        eta1 = 2.0 * complex(zeta(self, self.omega1))
-        eta2 = 2.0 * complex(zeta(self, self.omega2))
+        eta1, eta2 = (2.0 * zeta(self, np.array([self.omega1, self.omega2]))).tolist()
         p1, p2 = self.periods
         defect = abs(eta1 * p2 - eta2 * p1 - TWO_PI_I)
         if defect > 10.0 * self.tolerance:
@@ -244,48 +286,75 @@ class Lattice:
         """The functions named in `want` ("wp", "wp_prime", "zeta"), in that
         order, at reduced points zr.
 
-        Row n = -rows..rows contributes csc^2 and cot of v + n*pi*tau, with
+        Row n = -inf..inf contributes csc^2 and cot of v + n*pi*tau, with
         v = pi*zr/q1 reflected into Im v >= 0 (parity undoes it).  The row's
         exponential is s = E*q^(2n) for n >= 0 and s = G*q^(2|n|-2) for n < 0,
-        E = exp(2iv), G = exp(2i(pi*tau - v)); with t = s/(1 - s) and
-        d = 1/(1 - s), csc^2 = -4*t*d and cot = -/+ i*(1 + 2t) (n >= 0 / n < 0).
+        E = exp(2iv), G = q^2/E, both of modulus at most 1; the rows are
+        rational in s through f0 = s/(1-s), f1 = s/(1-s)^2 and
+        f2 = s(1+s)/(1-s)^3, as csc^2 = -4*f1, cot = -/+ i*(1 + 2*f0) and
+        d(csc^2)/dv = -/+ 8i*f2 (n >= 0 / n < 0).  zeta and wp' take the
+        difference of the n >= 0 and n < 0 sums of f0 and f2, wp the sum
+        of f1.
+
+        Rows 0 and -1 (s = E and s = G, the only ones with |s| near 1) are
+        evaluated in closed form.  Every other row is n >= 1 at s = x*q^(2n)
+        with x = E or x = G, and the Lambert identity
+        sum_{n>=1} fp(x*q^(2n)) = sum_{j>=1} j^p * L_j * x^j sums them all,
+        truncated after j = rows (see `_rows`).  A power table holds x^j for
+        j = 1..rows and both x, then the closed-form rows, and one product
+        with the per-lattice `_lambert` matrix adds it all up.  Per point
+        that is one exponential and three divisions, however many rows.
         """
         k = math.pi / self._reduced[0]
-        rows, q2n = self._rows, self._q2n
+        rows, q2 = self._rows, self._q2
         z = zr.reshape(-1)
         v = k * z
         parity = np.where(np.signbit(v.imag), -1.0, 1.0)
         v *= parity
-        sums = {name: np.empty(z.shape, complex) for name in want}
-        # one pair of points-by-rows buffers per call, sliced for the last block
+        w = 2j * v
+        # p = 0 (zeta), 1 (wp), 2 (wp'); the table needs f0..f_p_hi
+        ps = [_SERIES_POWER[name] for name in want]
+        p_lo, p_hi = min(ps), max(ps)
+        height = rows + p_hi + 1
+        coef = self._lambert[p_lo : p_hi + 1, : 2 * height]
+        # one power table per call; in a block, row i holds the values at the
+        # block's points for E, then for G: x^(i+1), then f0..f_p_hi
         width = max(1, min(self._block, z.size))
-        s_buf = np.empty((2 * rows + 1, width), complex)
-        d_buf = np.empty_like(s_buf)
+        buf = np.empty(2 * height * width, complex)
+        sums = np.empty((z.size, len(coef)), complex)
         for lo in range(0, z.size, width):
-            w = 2j * v[lo : lo + width]
-            blk = slice(lo, lo + w.size)
-            s, d = s_buf[:, : w.size], d_buf[:, : w.size]
-            np.multiply(q2n[:, None], np.exp(w), out=s[: rows + 1])
-            np.multiply(q2n[:-1, None], np.exp(TWO_PI_I * self._tau - w), out=s[rows + 1 :])
-            np.subtract(1.0, s, out=d)
+            n = min(width, z.size - lo)
+            x = buf[: 2 * height * n].reshape(height, 2 * n)
+            s, e, g = x[0], x[0, :n], x[0, n:]
+            np.exp(w[lo : lo + n], out=e)
+            if q2:
+                np.divide(q2, e, out=g)
+            else:  # q^2 underflowed, and E may have too: G is below any precision
+                g[:] = 0.0
+            # x^(m+1)..x^(2m) from x^1..x^m, doubling m
+            m = 1
+            while m < rows:
+                c = min(m, rows - m)
+                np.multiply(x[:c], x[m - 1], out=x[m : m + c])
+                m += c
+            # rows 0 and -1 in closed form, after the powers
+            d = np.subtract(1.0, s)
             np.divide(1.0, d, out=d)
-            t = np.multiply(s, d, out=s)
-            if "zeta" in sums:
-                sums["zeta"][blk] = t[: rows + 1].sum(axis=0) - t[rows + 1 :].sum(axis=0)
-            td = np.multiply(t, d, out=d)
-            if "wp" in sums:
-                sums["wp"][blk] = td.sum(axis=0)
-            if "wp_prime" in sums:
-                np.multiply(2.0, t, out=t)
-                np.add(t, 1.0, out=t)
-                u = np.multiply(td, t, out=t)
-                sums["wp_prime"][blk] = u[: rows + 1].sum(axis=0) - u[rows + 1 :].sum(axis=0)
+            f = x[rows:]
+            np.multiply(s, d, out=f[0])
+            if p_hi > 0:
+                np.multiply(f[0], d, out=f[1])
+            if p_hi > 1:  # f0 + d = (1 + s)/(1 - s)
+                np.multiply(np.add(f[0], d, out=d), f[1], out=f[2])
+            np.dot(x.reshape(2 * height, n).T, coef.T, out=sums[lo : lo + n])
         finish = {
             "wp": lambda a: -(k**2) * (4.0 * a + self._row_constant),
             "wp_prime": lambda a: parity * (-8j * k**3) * a,
             "zeta": lambda a: parity * (-1j * k) * (1.0 + 2.0 * a) + k**2 * self._row_constant * z,
         }
-        return tuple(finish[name](sums[name]).reshape(zr.shape) for name in want)
+        return tuple(
+            finish[name](sums[:, p - p_lo]).reshape(zr.shape) for name, p in zip(want, ps)
+        )
 
 
 def half_period(lattice: Lattice, index: HalfPeriodIndex | int) -> complex:

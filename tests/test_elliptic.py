@@ -370,3 +370,47 @@ def test_kernel_on_hard_lattices(omega1, omega2, precision):
         want = _theta_oracle(mpmath, lat, z)
         for (f, _, _, k), w in zip(_KERNEL_FUNCS, want):
             assert abs(scalars[f][i] - w) <= lat.tolerance * (abs(w) + scale**k), (f.__name__, z)
+
+
+def _assert_contract(lat, pts):
+    """Array and scalar values stay finite and meet the documented contract
+    against the theta oracle at every point of pts."""
+    mpmath = pytest.importorskip("mpmath")
+    scale = math.pi / lat.shortest_vector
+    values = [f(lat, pts) for f, _, _, _ in _KERNEL_FUNCS]
+    for got in values:
+        assert np.all(np.isfinite(got))
+    # near the top of the cell the theta series can lose up to about Im(tau)
+    # digits to cancellation, depending on Re(tau) and the rotation of omega1
+    # (checked against 300-digit values): 30 digits fail on some Im(tau) ~ 100
+    dps = 30 + math.ceil((lat.omega2 / lat.omega1).imag)
+    for i, z in enumerate(pts):
+        with mpmath.workdps(dps):
+            want = _theta_oracle(mpmath, lat, z)
+        for (f, _, _, k), got, w in zip(_KERNEL_FUNCS, values, want):
+            assert abs(f(lat, complex(z)) - got[i]) <= 1e-14 * (abs(w) + scale**k)
+            assert abs(got[i] - w) <= lat.tolerance * (abs(w) + scale**k), (f.__name__, z)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_contract_on_random_lattices(seed):
+    # Im(tau) log-uniform over [sqrt(3)/2, 150], precision over [1e-12, 1e-6],
+    # scale over [1e-2, 1e2] and a random rotation of the basis
+    rng = np.random.default_rng(1000 + seed)
+    tau = complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(math.sqrt(3) / 2),
+                                                                math.log(150.0))))
+    omega1 = 10 ** rng.uniform(-2.0, 2.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    lat = Lattice(omega1, tau * omega1, 10 ** rng.uniform(-12.0, -6.0))
+    q1, q2 = lat._reduced
+    cell = rng.uniform(-0.5, 0.5, (2, 8))
+    pts = np.concatenate([_hard_points(lat), cell[0] * q1 + cell[1] * q2])
+    _assert_contract(lat, pts[np.abs(pts) > lat.pole_radius])
+
+
+@pytest.mark.parametrize("im_tau", [112.0, 116.0, 119.0, 125.0, 240.0])
+def test_kernel_around_q_squared_underflow(im_tau):
+    # q^2 = exp(-2*pi*Im(tau)) turns subnormal past Im(tau) = 112.7 and 0 past
+    # 118.6; past Im(tau) = 237.2, E = exp(2iv) is 0 at the top of the cell too
+    lat = Lattice(0.5, 0.5 * complex(0.1, im_tau))
+    assert (lat._q2 == 0) == (im_tau > 118.6)
+    _assert_contract(lat, _hard_points(lat))
