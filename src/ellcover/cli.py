@@ -4,11 +4,15 @@ Every subcommand emits a deterministic table, one row per result, as JSON
 (default) or CSV.  A row is {"inputs": ..., "derived": ..., "verdicts":
 [{"clause", "ok", "lhs", "rhs"}, ...]}; CSV flattens the same fields.
 Floats are printed with 12 significant digits and complex numbers as
-{"re": ..., "im": ...}, so repeated runs are byte-identical.  The table is
-written in chunks of rows as they are encoded, not joined into one string;
-each verdict object is encoded once per table.
+{"re": ..., "im": ...}, so repeated runs are byte-identical.
 
-Handlers only build rows; `run` derives the exit code from their verdicts:
+Handlers only build rows, and return them as an iterable: enumerate-types
+returns a generator, so each row is encoded as it is produced, written in
+chunks of rows and then dropped; no table is held whole or joined into one
+string.  Within one table each verdict object is encoded once, and a field
+that is the same object as on the previous row (a shared inputs dict) is
+encoded once.  Bad input raises in the handler, before any byte is written.
+`run` derives the exit code from the verdicts during the write:
 0 when every verdict holds or is informational, else 1; 2 for a usage or
 numeric error or a failed write.  Only check-cover, picard-genus and
 verify-kdv can exit 1: the other tables hold by construction (legendre
@@ -28,10 +32,12 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import invariants as inv
 from . import picard
@@ -153,49 +159,82 @@ def _flat_value(v) -> str:
     return _FLAT_BY_TYPE.get(type(v), _flat_subclassed)(v)
 
 
-def _memo_by_identity(encode):
-    """`encode` memoised by object identity for one table write, whose rows
-    keep every object alive.  Not by equality: Verdict("c", True, 1, 1) ==
-    Verdict("c", True, True, 1), yet the two encode differently."""
+def _table_fields(verdict, encode, join):
+    """The field encoder of one table write: field(key, v) is encode(key, v),
+    or join(key, texts) for "verdicts", with each text from verdict(x).
+
+    A field that is the same object as on the previous row (a shared inputs
+    dict) reuses that row's text, so rows must not change an object they
+    share.  Each verdict is encoded once, memoised by identity, not equality:
+    Verdict("c", True, 1, 1) == Verdict("c", True, True, 1), yet the two
+    encode differently.  The memo holds every verdict it keys, so no id is
+    reused while the table is written, though streamed rows are dropped."""
+    last: dict = {}  # key -> (object, text) on the previous row
     texts: dict[int, str] = {}
-    return lambda v: texts.get(id(v)) or texts.setdefault(id(v), encode(v))
+    held = []  # the verdicts keyed in texts
+
+    def field(key, v):
+        prev = last.get(key)
+        if prev is not None and prev[0] is v:
+            return prev[1]
+        if key == "verdicts":
+            parts = [*map(texts.get, map(id, v))]
+            if None in parts:
+                for i, x in enumerate(v):
+                    if parts[i] is None:
+                        parts[i] = texts[id(x)] = verdict(x)
+                        held.append(x)
+            text = join(key, parts)
+        else:
+            text = encode(key, v)
+        last[key] = (v, text)
+        return text
+
+    return field
 
 
 # rows per write call: a few hundred KB of enumerate-types text
 _CHUNK_ROWS = 256
 
+# "    key: " opening each field of a JSON row
+_json_head = functools.lru_cache(maxsize=256, typed=True)(lambda k: f"    {_json_key(k)}: ")
 
-def _json_rows(rows: list[dict], write) -> None:
-    verdict = _memo_by_identity(_json_value)
 
-    def field(key, value) -> str:
-        if key == "verdicts":
-            return "[" + ", ".join([verdict(v) for v in value]) + "]"
-        return _json_value(value)
-
-    chunk = ["["]
-    for i, row in enumerate(rows):
-        fields = ",\n".join([f"    {_json_key(k)}: {field(k, v)}" for k, v in row.items()])
-        chunk.append(("\n  {\n" if i == 0 else ",\n  {\n") + fields + "\n  }")
+def _json_rows(rows, write) -> None:
+    field = _table_fields(
+        _json_value,
+        lambda key, v: _json_head(key) + _json_value(v),
+        lambda key, parts: _json_head(key) + "[" + ", ".join(parts) + "]",
+    )
+    chunk, opening = ["["], "\n  {\n"
+    for row in rows:
+        chunk.append(opening + ",\n".join([field(k, v) for k, v in row.items()]) + "\n  }")
+        opening = ",\n  {\n"
         if len(chunk) >= _CHUNK_ROWS:
             write("".join(chunk))
             chunk.clear()
-    chunk.append("\n]\n" if rows else "]\n")
+    chunk.append("]\n" if opening == "\n  {\n" else "\n]\n")
     write("".join(chunk))
 
 
-def _csv_rows(rows: list[dict], write) -> None:
-    if not rows:
+def _csv_rows(rows, write) -> None:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    sections = ("inputs", "derived")
-    writer.writerow([f"{s}.{k}" for s in sections for k in rows[0].get(s, {})] + ["verdicts"])
-    verdict = _memo_by_identity(_flat_value)
-    for i, row in enumerate(rows, 1):
-        record = [_flat_value(v) for s in sections for v in row.get(s, {}).values()]
-        record.append("; ".join([verdict(v) for v in row.get("verdicts", ())]))
-        writer.writerow(record)
+    writer.writerow([f"{s}.{k}" for s in ("inputs", "derived") for k in first.get(s, {})]
+                    + ["verdicts"])
+    field = _table_fields(
+        _flat_value,
+        lambda key, v: [*map(_flat_value, v.values())],
+        lambda key, parts: "; ".join(parts),
+    )
+    for i, row in enumerate(itertools.chain((first,), rows), 1):
+        writer.writerow([*field("inputs", row.get("inputs", {})),
+                         *field("derived", row.get("derived", {})),
+                         field("verdicts", row.get("verdicts", ()))])
         if i % _CHUNK_ROWS == 0:
             write(buf.getvalue())
             buf.seek(0)
@@ -245,7 +284,7 @@ def _tolerance(text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns its rows
+# subcommand handlers: each returns an iterable of its rows
 # ---------------------------------------------------------------------------
 
 
@@ -271,21 +310,24 @@ def _cmd_legendre(args) -> list[dict]:
     return [row]
 
 
-def _cmd_enumerate_types(args) -> list[dict]:
-    return [
+def _cmd_enumerate_types(args) -> Iterator[dict]:
+    items = inv.enumerate_types(args.n, args.d)  # raises on bad input, before any row
+    inputs = {"n": args.n, "d": args.d}  # one object: the writers encode it once
+    square_sum = inv.type_square_target(args.n, args.d)
+    return (
         {
-            "inputs": {"n": args.n, "d": args.d},
+            "inputs": inputs,
             "derived": {
-                "gamma": list(item.gamma),
-                "gamma1": item.gamma.total,
-                "gamma2": item.gamma.square_sum,
-                "g": item.g,
-                "admissible": inv.admissible(item.verdicts),
+                "gamma": gamma.gamma,
+                "gamma1": 2 * g + 1,
+                "gamma2": square_sum,
+                "g": g,
+                "admissible": inv.admissible(verdicts),
             },
-            "verdicts": item.verdicts,
+            "verdicts": verdicts,
         }
-        for item in inv.enumerate_types(args.n, args.d)
-    ]
+        for gamma, g, verdicts in items
+    )
 
 
 def _cmd_check_cover(args) -> list[dict]:
@@ -510,22 +552,30 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        rows = args.handler(args)
+        rows = args.handler(args)  # bad input raises here, before any byte is written
     except (EllcoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_rows = _json_rows if getattr(args, "format", "json") == "json" else _csv_rows
     output = getattr(args, "output", None)
+    all_admissible = True
+
+    def checked(rows):  # the exit code, derived as the rows are written
+        nonlocal all_admissible
+        for row in rows:
+            all_admissible = all_admissible and inv.admissible(row["verdicts"])
+            yield row
+
     try:
         if output:
             with open(output, "w") as fh:
-                write_rows(rows, fh.write)
+                write_rows(checked(rows), fh.write)
         else:
-            write_rows(rows, sys.stdout.write)
+            write_rows(checked(rows), sys.stdout.write)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if all(inv.admissible(row["verdicts"]) for row in rows) else 1
+    return 0 if all_admissible else 1
 
 
 def main() -> None:

@@ -46,7 +46,7 @@ def _integers(values, count: int) -> tuple[int, ...]:
     return ints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeVector:
     """Intersection numbers with the four involution-side exceptional curves,
     indexed by half-period (0 is the origin)."""
@@ -340,14 +340,16 @@ def check_sine_gordon(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumeratedType:
+class EnumeratedType(NamedTuple):
     """One admissible type for (n, d): gamma with its implied genus and the
     full clause evaluation for rho = m = 1."""
 
     gamma: TypeVector
     g: int
-    verdicts: tuple[Verdict, ...] = field(repr=False)
+    verdicts: tuple[Verdict, ...]
+
+    def __repr__(self) -> str:  # the verdicts stay out of the repr
+        return f"EnumeratedType(gamma={self.gamma!r}, g={self.g!r})"
 
 
 def type_square_target(n: int, d: int) -> int:
@@ -368,7 +370,11 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
 
     Rows share n, d, rho = m = 1, gamma^(2) = T and the parity pattern, so
     only 5.4(4) (its rhs lists gamma) needs more than gamma^(1): evaluate_kdv
-    runs once per gamma^(1), and later rows reuse its list with their 5.4(4).
+    runs once per gamma^(1), and later rows reuse its verdicts (the same
+    objects) with their own 5.4(4).  Each row is a NamedTuple record holding
+    a TypeVector built without re-checking, so a table of tens of thousands
+    of types costs little more than the search; `enumerate-types` streams
+    its rows from this list.
     """
     if n < 1 or d < 1:
         raise InvalidInvariants("need n >= 1 and d >= 1")

@@ -185,6 +185,12 @@ def test_output_file(tmp_path):
     assert rows[0]["derived"] == {"g": 2, "n": 3}
 
 
+def test_bad_input_writes_no_bytes(tmp_path):
+    target = tmp_path / "out.json"
+    assert cli.run(["enumerate-types", "--n", "0", "--d", "1", "--output", str(target)]) == 2
+    assert not target.exists()
+
+
 def test_unwritable_output_is_usage_error(tmp_path):
     res = run_cli("enumerate-types", "--n", "5", "--d", "2",
                   "--output", str(tmp_path / "missing" / "x.json"))
@@ -278,8 +284,8 @@ EXIT_CODES = sorted(GOLDEN_COMMANDS.values()) + [
 @pytest.mark.parametrize("code,argv", EXIT_CODES)
 def test_exit_code_is_derived_from_the_verdicts(code, argv):
     args = cli._build_parser().parse_args(argv)
-    rows = args.handler(args)  # a handler returns its rows and nothing else
-    assert type(rows) is list and all(type(row) is dict for row in rows)
+    rows = list(args.handler(args))  # a handler returns its rows and nothing else
+    assert all(type(row) is dict for row in rows)
     expected = 0 if all(v.ok or v.informational for row in rows for v in row["verdicts"]) else 1
     assert expected == code
     for fmt in ("json", "csv"):
@@ -446,6 +452,42 @@ def test_verdicts_memoised_by_identity_not_equality():
         "1,c:violated[lhs=true rhs=0]; c:violated[lhs=1 rhs=0]; c:ok; c:ok; "
         "i:violated[lhs=2 rhs=1]\n"
     )
+
+
+def test_streamed_verdicts_are_encoded_after_their_row_is_dropped():
+    # equal verdicts that encode differently, each alive only while its row
+    # is written: a memo keyed by the id of a dead object would hand a later
+    # verdict, allocated at the same address, an earlier one's text
+    lhs = [True if k % 3 == 0 else 1 for k in range(64)]
+
+    def rows():
+        for k, x in enumerate(lhs):
+            yield {"inputs": {"k": k}, "verdicts": [Verdict("c", True, x, 1), Verdict("c", False, x, 0)]}
+
+    json_text, csv_text = [], []
+    _json_rows(rows(), json_text.append)
+    _csv_rows(rows(), csv_text.append)
+    text = ["true" if x is True else "1" for x in lhs]
+    assert "".join(json_text) == "[" + ",".join(
+        f'\n  {{\n    "inputs": {{"k": {k}}},\n    "verdicts": '
+        f'[{{"clause": "c", "ok": true, "lhs": {x}, "rhs": 1}}, '
+        f'{{"clause": "c", "ok": false, "lhs": {x}, "rhs": 0}}]\n  }}'
+        for k, x in enumerate(text)) + "\n]\n"
+    assert "".join(csv_text) == "inputs.k,verdicts\n" + "".join(
+        f"{k},c:ok; c:violated[lhs={x} rhs=0]\n" for k, x in enumerate(text))
+
+
+@pytest.mark.parametrize("write_rows", [_json_rows, _csv_rows])
+def test_a_generator_of_rows_gives_the_bytes_of_the_list(write_rows):
+    args = cli._build_parser().parse_args(["enumerate-types", "--n", "200", "--d", "3"])
+    rows = list(args.handler(args))
+    from_list, from_generator = [], []
+    write_rows(rows, from_list.append)
+    write_rows((row for row in rows), from_generator.append)
+    assert "".join(from_generator) == "".join(from_list) != ""
+    text = []
+    write_rows((row for row in ()), text.append)
+    assert "".join(text) == ("[]\n" if write_rows is _json_rows else "")
 
 
 class CountingStdout(io.StringIO):

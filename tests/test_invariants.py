@@ -117,6 +117,22 @@ def test_verdict_public_shape():
     assert len({v, Verdict("5.5(1) genus vs type sum", True, 5, 7)}) == 1
 
 
+def test_enumerated_type_public_shape():
+    (t,) = enumerate_types(3, 1)
+    assert EnumeratedType._fields == ("gamma", "g", "verdicts")
+    assert (t.gamma, t.g) == (TypeVector((2, 1, 1, 1)), 2)
+    assert t.verdicts == tuple(evaluate_kdv(CoverInvariants(3, 1, 2, 1, 1, (2, 1, 1, 1))))
+    with pytest.raises(AttributeError):
+        t.g = 3
+    with pytest.raises(AttributeError):
+        t.gamma.gamma = (0, 0, 0, 0)
+    same = EnumeratedType(TypeVector((2, 1, 1, 1)), 2, t.verdicts)
+    assert t == same and len({t, same}) == 1
+    assert t != EnumeratedType(t.gamma, 3, t.verdicts)
+    # the verdicts stay out of the repr
+    assert repr(t) == "EnumeratedType(gamma=TypeVector(gamma=(2, 1, 1, 1)), g=2)"
+
+
 def test_kdv_verdict_order_is_stable():
     inv = make_inv(3, 1, 2, gamma=(2, 1, 1, 1))
     first = [v.clause for v in evaluate_kdv(inv)]
