@@ -255,22 +255,18 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
 
 
-def _parse_ints(text: str, count: int):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != count:
-        raise argparse.ArgumentTypeError(f"expected {count} integers, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
-
-
-def _int4_arg(text: str):
-    return _parse_ints(text, 4)
-
-
-def _class_arg(text: str):
-    return _parse_ints(text, 10)
+def _parse_ints(count: int):
+    """The argparse type of a flag that takes `count` integers, separated by
+    commas or spaces."""
+    def parse(text: str) -> tuple[int, ...]:
+        parts = [p for p in text.replace(",", " ").split() if p]
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} integers, got {text!r}")
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -421,11 +417,7 @@ def _cmd_picard_genus(args) -> list[dict]:
 def _cmd_verify_kdv(args) -> list[dict]:
     _load_numeric()
     lat = Lattice(args.omega1, args.omega2, args.precision)
-    if args.grid is not None:
-        nx, nt = args.grid
-        grid = Grid.for_lattice(lat, nx=nx, nt=nt)
-    else:
-        grid = Grid.for_lattice(lat)
+    grid = Grid.for_lattice(lat, *(args.grid or ()))
     wave = TravelingWave(lat, lam=args.lam, x0=args.x0)
     res_stencil, res_chain = kdv_residual(wave, grid, ("stencil", "chain"))
     perio = periodicity_check(wave)
@@ -505,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--rho", type=int, default=None, help="kdv only (default 1)")
     p.add_argument("--m", type=int, default=None, help="kdv only (default 1)")
-    p.add_argument("--gamma", type=_int4_arg, required=True, metavar="A,B,C,D")
+    p.add_argument("--gamma", type=_parse_ints(4), required=True, metavar="A,B,C,D")
     p.add_argument("--placement", choices=[pl.value for pl in inv.Placement], default=None,
                    help="nls|sg only (default distinct-generic)")
     p.set_defaults(handler=_cmd_check_cover)
@@ -513,18 +505,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct-68", help="generated (gamma, n, g) table")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mu", type=_int4_arg, required=True, metavar="A,B,C,D")
+    p.add_argument("--mu", type=_parse_ints(4), required=True, metavar="A,B,C,D")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("family", help="(g, n) for one of the six family cases")
     p.add_argument("--theorem", choices=inv.FAMILY_CASES, required=True)
-    p.add_argument("--alpha", type=_int4_arg, required=True, metavar="A,B,C,D")
+    p.add_argument("--alpha", type=_parse_ints(4), required=True, metavar="A,B,C,D")
     p.add_argument("--at-half-period", action="store_true")
     p.add_argument("--j0", type=int, default=None)
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("picard-genus", help="intersection data of a divisor class")
-    p.add_argument("--class", dest="cls", type=_class_arg, required=True,
+    p.add_argument("--class", dest="cls", type=_parse_ints(10), required=True,
                    metavar="A,B,S0,S1,S2,S3,R0,R1,R2,R3")
     p.set_defaults(handler=_cmd_picard_genus)
 
@@ -533,8 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega2", type=_parse_complex, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_complex, default=0j)
     p.add_argument("--x0", type=_parse_complex, default=0j)
-    p.add_argument("--grid", type=lambda s: _parse_ints(s, 2), default=None,
-                   metavar="NX,NT")
+    p.add_argument("--grid", type=_parse_ints(2), default=None, metavar="NX,NT")
     p.add_argument("--precision", type=float, default=1e-12)
     p.add_argument("--residual-tol", type=_tolerance, default=1e-6,
                    help="absolute bound on the KdV residual and the backend gap, "

@@ -248,7 +248,7 @@ class Lattice:
     def _reduced_quasi(self) -> tuple[complex, complex]:
         """Quasi-period constants of the *reduced* basis vectors."""
         q1, q2 = self._reduced
-        (half,) = self._series(np.array([q1 / 2.0, q2 / 2.0]), ("zeta",))
+        half = self._series(np.array([q1 / 2.0, q2 / 2.0]), "zeta")
         return 2.0 * complex(half[0]), 2.0 * complex(half[1])
 
     @cached_property
@@ -282,9 +282,8 @@ class Lattice:
 
     # -- resummed series (arguments already reduced) -------------------------
 
-    def _series(self, zr: np.ndarray, want: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-        """The functions named in `want` ("wp", "wp_prime", "zeta"), in that
-        order, at reduced points zr.
+    def _series(self, zr: np.ndarray, name: str) -> np.ndarray:
+        """The function `name` ("wp", "wp_prime" or "zeta") at reduced points zr.
 
         Row n = -inf..inf contributes csc^2 and cot of v + n*pi*tau, with
         v = pi*zr/q1 reflected into Im v >= 0 (parity undoes it).  The row's
@@ -312,16 +311,15 @@ class Lattice:
         parity = np.where(np.signbit(v.imag), -1.0, 1.0)
         v *= parity
         w = 2j * v
-        # p = 0 (zeta), 1 (wp), 2 (wp'); the table needs f0..f_p_hi
-        ps = [_SERIES_POWER[name] for name in want]
-        p_lo, p_hi = min(ps), max(ps)
-        height = rows + p_hi + 1
-        coef = self._lambert[p_lo : p_hi + 1, : 2 * height]
+        # p = 0 (zeta), 1 (wp), 2 (wp'); the table needs f0..f_p
+        p = _SERIES_POWER[name]
+        height = rows + p + 1
+        coef = self._lambert[p, : 2 * height]
         # one power table per call; in a block, row i holds the values at the
-        # block's points for E, then for G: x^(i+1), then f0..f_p_hi
+        # block's points for E, then for G: x^(i+1), then f0..f_p
         width = max(1, min(self._block, z.size))
         buf = np.empty(2 * height * width, complex)
-        sums = np.empty((z.size, len(coef)), complex)
+        sums = np.empty(z.size, complex)
         for lo in range(0, z.size, width):
             n = min(width, z.size - lo)
             x = buf[: 2 * height * n].reshape(height, 2 * n)
@@ -342,19 +340,18 @@ class Lattice:
             np.divide(1.0, d, out=d)
             f = x[rows:]
             np.multiply(s, d, out=f[0])
-            if p_hi > 0:
+            if p > 0:
                 np.multiply(f[0], d, out=f[1])
-            if p_hi > 1:  # f0 + d = (1 + s)/(1 - s)
+            if p > 1:  # f0 + d = (1 + s)/(1 - s)
                 np.multiply(np.add(f[0], d, out=d), f[1], out=f[2])
-            np.dot(x.reshape(2 * height, n).T, coef.T, out=sums[lo : lo + n])
-        finish = {
-            "wp": lambda a: -(k**2) * (4.0 * a + self._row_constant),
-            "wp_prime": lambda a: parity * (-8j * k**3) * a,
-            "zeta": lambda a: parity * (-1j * k) * (1.0 + 2.0 * a) + k**2 * self._row_constant * z,
-        }
-        return tuple(
-            finish[name](sums[:, p - p_lo]).reshape(zr.shape) for name, p in zip(want, ps)
-        )
+            np.dot(x.reshape(2 * height, n).T, coef, out=sums[lo : lo + n])
+        if name == "wp":
+            out = -(k**2) * (4.0 * sums + self._row_constant)
+        elif name == "wp_prime":
+            out = parity * (-8j * k**3) * sums
+        else:
+            out = parity * (-1j * k) * (1.0 + 2.0 * sums) + k**2 * self._row_constant * z
+        return out.reshape(zr.shape)
 
 
 def half_period(lattice: Lattice, index: HalfPeriodIndex | int) -> complex:
@@ -378,14 +375,14 @@ def reduce(lattice: Lattice, z):
 def wp(lattice: Lattice, z):
     """Weierstrass P-function. Raises PoleProximity near lattice points."""
     zr, _, _, scalar = lattice._cell_point(z)
-    (out,) = lattice._series(zr, ("wp",))
+    out = lattice._series(zr, "wp")
     return complex(out) if scalar else out
 
 
 def wp_prime(lattice: Lattice, z):
     """Derivative of the P-function (odd)."""
     zr, _, _, scalar = lattice._cell_point(z)
-    (out,) = lattice._series(zr, ("wp_prime",))
+    out = lattice._series(zr, "wp_prime")
     return complex(out) if scalar else out
 
 
@@ -397,8 +394,7 @@ def zeta(lattice: Lattice, z):
     """
     zr, m, n, scalar = lattice._cell_point(z)
     er1, er2 = lattice._reduced_quasi
-    (out,) = lattice._series(zr, ("zeta",))
-    out = out + m * er1 + n * er2
+    out = lattice._series(zr, "zeta") + m * er1 + n * er2
     return complex(out) if scalar else out
 
 

@@ -37,12 +37,18 @@ from .errors import InvalidInvariants, ParityViolation
 Vec4 = tuple[int, int, int, int]
 
 
-def _integers(values, count: int) -> tuple[int, ...]:
-    """`values` as `count` ints; InvalidInvariants for another count or a non-integer."""
+def _integers(values, count: int, low: Optional[int] = None) -> tuple[int, ...]:
+    """`values` as `count` ints; InvalidInvariants for another count, a
+    non-integer, or a value below `low` when one is given."""
     given = tuple(values)
-    ints = tuple(map(int, given))
+    try:
+        ints = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+        ints = ()
     if len(ints) != count or ints != given:
         raise InvalidInvariants(f"expected {count} integers, got {given}")
+    if low is not None and min(ints) < low:
+        raise InvalidInvariants(f"need integers >= {low}, got {ints}")
     return ints
 
 
@@ -54,10 +60,7 @@ class TypeVector:
     gamma: Vec4
 
     def __post_init__(self):
-        g = _integers(self.gamma, 4)
-        if any(x < 0 for x in g):
-            raise InvalidInvariants(f"type components must be >= 0, got {g}")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", _integers(self.gamma, 4, 0))
 
     @classmethod
     def _trusted(cls, gamma: Vec4) -> TypeVector:
@@ -74,7 +77,8 @@ class TypeVector:
     @property
     def square_sum(self) -> int:
         """Sum of squared components (written gamma^(2))."""
-        return sum(x * x for x in self.gamma)
+        a, b, c, d = self.gamma  # unrolled: every two-point and KdV evaluation asks for it
+        return a * a + b * b + c * c + d * d
 
     def __iter__(self):
         return iter(self.gamma)
@@ -261,6 +265,24 @@ def _square_bound(table: str, n: int, same_projection: bool) -> tuple[str, int]:
     return clause, 4 * n + shift
 
 
+def _two_point(table: str, n, g, gamma, same: bool) -> tuple[int, TypeVector, list[Verdict]]:
+    """Checked n >= 1 and gamma, and the clauses both two-point families
+    state: (1) genus vs type sum, type square bound and genus square bound,
+    with genus term G = g + 1 for table "5.7" and G = g for "5.8" (g >= 0).
+    The (1) clause is 2G <= gamma^(1), the genus square bound G^2 <= rhs."""
+    (n,) = _integers((n,), 1, 1)
+    (term,) = _integers((g,), 1, 0)
+    if table == "5.7":
+        term += 1
+    gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
+    clause, rhs = _square_bound(table, n, same)
+    return n, gam, [
+        _bound(table + "(1) genus vs type sum", 2 * term, gam.total),
+        _bound(clause + " type square bound", gam.square_sum, rhs),
+        _bound(clause + " genus square bound", term * term, rhs),
+    ]
+
+
 def evaluate_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdict]:
     if placement is Placement.DISTINCT_HALF_PERIODS:
         # the second marked point is the involution image of the first, so a
@@ -269,15 +291,9 @@ def evaluate_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdi
             "marked points exchanged by the involution cannot project to two "
             "distinct half-periods"
         )
-    gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
-    clause, rhs = _square_bound("5.7", n, placement is Placement.SAME_PROJECTION)
+    n, gam, bounds = _two_point("5.7", n, g, gamma, placement is Placement.SAME_PROJECTION)
     parities = tuple([x % 2 for x in gam.gamma])
-    return [
-        Verdict("5.7 parity", not flipped_indices(n, gam.gamma), parities, n % 2),
-        _bound("5.7(1) genus vs type sum", 2 * g + 2, gam.total),
-        _bound(clause + " type square bound", gam.square_sum, rhs),
-        _bound(clause + " genus square bound", (g + 1) ** 2, rhs),
-    ]
+    return [Verdict("5.7 parity", not flipped_indices(n, gam.gamma), parities, n % 2), *bounds]
 
 
 def check_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdict]:
@@ -302,27 +318,19 @@ def evaluate_sine_gordon(
         )
     if half_period_pair is not None:
         half_period_pair = half_period_indices(placement, half_period_pair)
-    gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
     same = placement is Placement.SAME_PROJECTION
+    n, gam, bounds = _two_point("5.8", n, g, gamma, same)
     flipped = flipped_indices(n, gam.gamma)
     if same:
-        parity = Verdict("5.6(3) parity", not flipped, tuple([x % 2 for x in gam.gamma]), n % 2)
-    else:
-        want = "two flipped indices" if half_period_pair is None else half_period_pair
-        ok = len(flipped) == 2 if half_period_pair is None else flipped == want
-        parity = Verdict("5.6(5) parity", ok, flipped, want)
-    clause, rhs = _square_bound("5.8", n, same)
-    out = [
-        parity,
-        _bound("5.8(1) genus vs type sum", 2 * g, gam.total),
-        _bound(clause + " type square bound", gam.square_sum, rhs),
-        _bound(clause + " genus square bound", g * g, rhs),
-    ]
-    if not same:
-        # 6.12(3), sharper than 5.8(2), does not decide admissibility here
-        clause, rhs = _square_bound("6.12", n, same)
-        out.append(_bound(clause + " genus square bound", g * g, rhs, informational=True))
-    return out
+        parities = tuple([x % 2 for x in gam.gamma])
+        return [Verdict("5.6(3) parity", not flipped, parities, n % 2), *bounds]
+    want = "two flipped indices" if half_period_pair is None else half_period_pair
+    ok = len(flipped) == 2 if half_period_pair is None else flipped == want
+    # 6.12(3), sharper than 5.8(2), does not decide admissibility here; its
+    # lhs is g^2, that of 5.8's genus square bound
+    clause, rhs = _square_bound("6.12", n, same)
+    return [Verdict("5.6(5) parity", ok, flipped, want), *bounds,
+            _bound(clause + " genus square bound", bounds[-1].lhs, rhs, informational=True)]
 
 
 def check_sine_gordon(
@@ -376,8 +384,7 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
     of types costs little more than the search; `enumerate-types` streams
     its rows from this list.
     """
-    if n < 1 or d < 1:
-        raise InvalidInvariants("need n >= 1 and d >= 1")
+    n, d = _integers((n, d), 2, 1)
     target = type_square_target(n, d)
     top = math.isqrt(target)
     rest = range(n % 2, top + 1, 2)
@@ -448,13 +455,11 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
     that evaluation as its verdicts.
     """
     d, k = _integers((d, k), 2)
-    m = _integers(mu, 4)
+    m = _integers(mu, 4, 0)
     if d < 2:
         raise InvalidInvariants(f"need osculating order d >= 2, got {d}")
     if k not in range(4):
         raise InvalidInvariants(f"distinguished index must be 0..3, got {k}")
-    if any(x < 0 for x in m):
-        raise InvalidInvariants(f"mu must be non-negative, got {m}")
     if any((m[0] + 1 - m[j]) % 2 for j in (1, 2, 3)):
         raise ParityViolation(f"need mu_0 + 1 = mu_j (mod 2) for j = 1..3, got {m}")
 
@@ -489,8 +494,10 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
 def construct_closed_forms(d: int, mu) -> tuple[int, int]:
     """Closed forms for the eps = (0, d-1, d-1, d-1) pattern with all plus
     signs:  2g + 1 = (2d-1)*mu^(1) + 6(d-1)  and
-            2n = (2d-1)*mu^(2) + 4(d-1)(mu_1 + mu_2 + mu_3) + 6d - 7."""
-    m = _integers(mu, 4)
+            2n = (2d-1)*mu^(2) + 4(d-1)(mu_1 + mu_2 + mu_3) + 6d - 7,
+    for d >= 1 and mu in N^4."""
+    (d,) = _integers((d,), 1, 1)
+    m = _integers(mu, 4, 0)
     m1 = sum(m)
     m2 = sum(x * x for x in m)
     two_g_plus_1 = (2 * d - 1) * m1 + 6 * (d - 1)
@@ -524,9 +531,7 @@ class FamilySpec:
             raise InvalidInvariants(
                 f"case must be one of {FAMILY_CASES}, got {self.case!r}"
             )
-        a = _integers(self.alpha, 4)
-        if any(x < 0 for x in a):
-            raise InvalidInvariants(f"alpha must be non-negative, got {a}")
+        a = _integers(self.alpha, 4, 0)
         object.__setattr__(self, "alpha", a)
         if self.at_half_period and self.case not in ("6.13", "6.14"):
             raise InvalidInvariants(f"at_half_period is for 6.13 and 6.14, not {self.case}")
@@ -548,7 +553,8 @@ class FamilySpec:
                 raise ParityViolation("case 6.16 requires alpha_0 + alpha_1 even")
         elif self.case == "6.17":
             if self.j0 not in (1, 2, 3):
-                raise InvalidInvariants("case 6.17 requires j0 in {1, 2, 3}")
+                raise InvalidInvariants(f"case 6.17 requires j0 in {{1, 2, 3}}, got {self.j0!r}")
+            object.__setattr__(self, "j0", _integers((self.j0,), 1)[0])
             if any((a[self.j0] + 1 - a[i]) % 2 for i in range(4) if i != self.j0):
                 raise ParityViolation(
                     f"case 6.17 requires alpha_j0 + 1 = alpha_i (mod 2), got {a}"

@@ -74,9 +74,8 @@ class DivisorClass:
         return cls(c[0], c[1], c[2:6], c[6:])
 
     def divided_by(self, m: int) -> "DivisorClass":
-        """Divide all coefficients by m; every coefficient must be divisible."""
-        if m <= 0:
-            raise InvalidInvariants("divisor degree m must be positive")
+        """Divide all coefficients by an integer m >= 1 that divides every one."""
+        (m,) = _integers((m,), 1, 1)
         if any(c % m for c in self.coefficients()):
             raise InvalidInvariants(f"class is not divisible by {m}")
         return DivisorClass.from_coefficients(c // m for c in self.coefficients())
@@ -146,17 +145,10 @@ def cover_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
 
         e*(n*C_o + (2d-1)*F) - rho*s_0 - sum_i gamma_i * r_i
     """
-    n, d, rho = _integers((n, d, rho), 3)
-    g = _integers(gamma, 4)
-    if n < 1:
-        raise InvalidInvariants(f"degree n must be >= 1, got {n}")
-    if d < 1:
-        raise InvalidInvariants(f"osculating order d must be >= 1, got {d}")
-    if rho % 2 == 0 or not 1 <= rho <= 2 * d - 1:
+    n, d, rho = _integers((n, d, rho), 3, 1)
+    if rho % 2 == 0 or rho > 2 * d - 1:
         raise InvalidInvariants(f"ramification rho={rho} must be odd, 1 <= rho <= {2 * d - 1}")
-    if any(x < 0 for x in g):
-        raise InvalidInvariants(f"type vector must be non-negative, got {g}")
-    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), tuple(-x for x in g))
+    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), tuple(-x for x in _integers(gamma, 4, 0)))
 
 
 def _descended(d: DivisorClass) -> tuple[int, int]:
@@ -218,9 +210,7 @@ def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClas
     and none otherwise.
     """
     idx = half_period_indices(placement, indices)
-    (n,) = _integers((n,), 1)
-    if n < 1:
-        raise InvalidInvariants(f"degree n must be >= 1, got {n}")
+    (n,) = _integers((n,), 1, 1)
     g = TypeVector(gamma).gamma
     want = idx if placement is Placement.DISTINCT_HALF_PERIODS else ()
     if flipped_indices(n, g) != want:
@@ -246,9 +236,7 @@ def exceptional_class(alpha) -> DivisorClass:
         e*(n*C_o + F_k) - s_k - sum_i alpha_i r_i
     (F_k is a fiber, hence b = 1 numerically).
     """
-    a = _integers(alpha, 4)
-    if any(x < 0 for x in a):
-        raise InvalidInvariants(f"alpha must be non-negative, got {a}")
+    a = _integers(alpha, 4, 0)
     sq = sum(x * x for x in a)
     if sq % 2 == 0:
         raise ParityViolation(f"sum of squares {sq} must be odd")

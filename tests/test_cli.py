@@ -69,6 +69,19 @@ def test_check_cover_nls_and_sg():
     assert res.returncode == 0
 
 
+@pytest.mark.parametrize("args", [
+    ("--case", "nls", "--n", "0", "--g", "-1", "--gamma", "0,0,0,0"),
+    ("--case", "sg", "--n", "-3", "--g", "0", "--gamma", "1,1,1,1",
+     "--placement", "same-projection"),
+    ("--case", "nls", "--n", "4", "--g", "-1", "--gamma", "2,2,2,2"),
+], ids=["nls-n-0", "sg-n-neg", "nls-g-neg"])
+def test_check_cover_two_point_degree_and_genus_floors_are_usage_errors(args):
+    res = run_cli("check-cover", *args)
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"error: ")
+
+
 def test_construct_68_table():
     res = run_cli("construct-68", "--d", "2", "--k", "0", "--mu", "0,1,1,1")
     assert res.returncode == 0

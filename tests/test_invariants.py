@@ -21,6 +21,7 @@ from ellcover.invariants import (
     construct_types,
     enumerate_types,
     evaluate_kdv,
+    evaluate_nls_toda,
     evaluate_sine_gordon,
     family_params,
     type_square_target,
@@ -73,6 +74,38 @@ def test_invariant_records_reject_non_integers():
     assert (record.n, record.d, record.g, record.gamma.gamma) == (3, 1, 1, (2, 1, 1, 1))
     assert all(type(x) is int for x in (record.n, record.d, record.g, *record.gamma))
     assert FamilySpec("6.13", (1.0, 0, 0, 0)).alpha == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate_nls_toda(4.5, 2, (2, 2, 2, 2), Placement.DISTINCT_GENERIC),
+    lambda: evaluate_nls_toda(0, 0, (0, 0, 0, 0), Placement.DISTINCT_GENERIC),
+    lambda: evaluate_nls_toda(4, -1, (2, 2, 2, 2), Placement.DISTINCT_GENERIC),
+    lambda: evaluate_sine_gordon(-3, 0, (1, 1, 1, 1), Placement.SAME_PROJECTION),
+    lambda: evaluate_sine_gordon(4, 2.5, (2, 2, 1, 1), Placement.DISTINCT_HALF_PERIODS),
+    lambda: enumerate_types(3, 1.5),
+    lambda: enumerate_types(0, 1),
+    lambda: construct_closed_forms(2.5, (0, 1, 1, 1)),
+    lambda: construct_closed_forms(0, (0, 1, 1, 1)),
+    lambda: construct_closed_forms(2, (0, 1, 1, -1)),
+    lambda: FamilySpec("6.17", (1, 0, 1, 1), j0=1.5),
+    lambda: TypeVector((None, 0, 0, 0)),
+    lambda: enumerate_types(3, float("inf")),
+    lambda: evaluate_nls_toda(float("nan"), 2, (2, 2, 2, 2), Placement.DISTINCT_GENERIC),
+], ids=["nls-n-half", "nls-n-0", "nls-g-neg", "sg-n-neg", "sg-g-half", "enum-d-half",
+        "enum-n-0", "closed-d-half", "closed-d-0", "closed-mu-neg", "family-j0-half",
+        "type-none", "enum-d-inf", "nls-n-nan"])
+def test_integer_inputs_off_their_domain_raise(call):
+    with pytest.raises(InvalidInvariants):
+        call()
+
+
+def test_integral_floats_are_taken_as_ints():
+    assert enumerate_types(2.0, 1) == enumerate_types(2, 1)
+    j0 = FamilySpec("6.17", (1, 0, 1, 1), j0=1.0).j0
+    assert j0 == 1 and type(j0) is int
+    verdicts = evaluate_nls_toda(4.0, 2.0, (2, 2, 2, 2), Placement.DISTINCT_GENERIC)
+    assert verdicts == evaluate_nls_toda(4, 2, (2, 2, 2, 2), Placement.DISTINCT_GENERIC)
+    assert all(type(x) is int for v in verdicts[1:] for x in (v.lhs, v.rhs))
 
 
 # -- check_kdv ------------------------------------------------------------------

@@ -122,6 +122,21 @@ def test_divided_by_checks_integrality():
         d.divided_by(2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda d: d.divided_by(1.5),
+    lambda d: d.divided_by(0),
+    lambda d: d.divided_by(-3),
+    lambda d: nls_sg_class(0, Placement.DISTINCT_GENERIC, (0, 0, 0, 0)),
+    lambda d: exceptional_class((1, 0, -1, 0)),
+    lambda d: cover_class(3, 0, 1, (2, 1, 1, 1)),
+    lambda d: cover_class(3, 1, -1, (2, 1, 1, 1)),
+], ids=["divided-half", "divided-0", "divided-neg", "nls-sg-n-0", "exceptional-neg",
+        "cover-d-0", "cover-rho-neg"])
+def test_integer_inputs_below_their_floor_raise(call):
+    with pytest.raises(InvalidInvariants):
+        call(3 * cover_class(3, 1, 1, (2, 1, 1, 1)))
+
+
 # -- descended genus -------------------------------------------------------------
 
 
