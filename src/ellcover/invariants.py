@@ -10,8 +10,8 @@ Three families of marked covers of the base elliptic curve are handled:
     invariants (n, g, gamma) plus placement.
 
 The two-point families share one placement model (`Placement`, with its
-half-period indices), one parity rule (`flipped_indices`) and one table
-of square bounds, which also serves the family maps' 6.11/6.12 checks.
+half-period indices), one parity rule (`flipped_indices`) and one table of
+square bounds with genus terms, also serving the family maps' 6.11/6.12.
 
 Every constraint is a named clause of the built-in rule catalog (IDs such
 as "5.4(5) parity"); checkers evaluate all applicable clauses and report
@@ -37,18 +37,18 @@ from .errors import InvalidInvariants, ParityViolation
 Vec4 = tuple[int, int, int, int]
 
 
-def _integers(values, count: int, low: Optional[int] = None) -> tuple[int, ...]:
-    """`values` as `count` ints; InvalidInvariants for another count, a
-    non-integer, or a value below `low` when one is given."""
+def _integers(name: str, values, count: int, low: Optional[int] = None) -> tuple[int, ...]:
+    """`values` as `count` ints; InvalidInvariants naming `name` for another
+    count, a non-integer, or a value below `low` when one is given."""
     given = tuple(values)
     try:
         ints = tuple(map(int, given))
     except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
         ints = ()
     if len(ints) != count or ints != given:
-        raise InvalidInvariants(f"expected {count} integers, got {given}")
+        raise InvalidInvariants(f"{name}: expected {count} integers, got {given}")
     if low is not None and min(ints) < low:
-        raise InvalidInvariants(f"need integers >= {low}, got {ints}")
+        raise InvalidInvariants(f"{name}: need integers >= {low}, got {ints}")
     return ints
 
 
@@ -60,7 +60,7 @@ class TypeVector:
     gamma: Vec4
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _integers(self.gamma, 4, 0))
+        object.__setattr__(self, "gamma", _integers("gamma", self.gamma, 4, 0))
 
     @classmethod
     def _trusted(cls, gamma: Vec4) -> TypeVector:
@@ -103,7 +103,8 @@ class CoverInvariants:
     gamma: TypeVector
 
     def __post_init__(self):
-        n, d, g, rho, m = _integers((self.n, self.d, self.g, self.rho, self.m), 5)
+        fields = (self.n, self.d, self.g, self.rho, self.m)
+        n, d, g, rho, m = _integers("n, d, g, rho, m", fields, 5)
         # frozen, so the checked ints go into __dict__ directly
         self.__dict__.update(n=n, d=d, g=g, rho=rho, m=m)
         if self.n < 1:
@@ -153,9 +154,9 @@ def half_period_indices(placement: Placement, indices) -> tuple[int, ...]:
 def flipped_indices(n: int, gamma) -> tuple[int, ...]:
     """The indices i with gamma_i != n (mod 2), ascending.
 
-    This is the parity rule of the two-point covers: the flipped set must
-    be () unless the marked points sit over two distinct half-periods k
-    and j, where it must be (k, j)."""
+    The one parity rule: two-point covers need () or the two half-periods
+    (k, j) their marked points sit over; 5.4(5), the mu rule, 6.17's j0 and
+    `picard.parity_exceptional_index` each need one flipped index."""
     return tuple([i for i, x in enumerate(gamma) if (x - n) % 2])
 
 
@@ -215,9 +216,7 @@ def evaluate_kdv(inv: CoverInvariants) -> list[Verdict]:
     )
     out.append(_m_divides(n, d, rho, m, gam.gamma))
     parities = ((gam[0] + 1) % 2, gam[1] % 2, gam[2] % 2, gam[3] % 2)
-    out.append(
-        Verdict("5.4(5) parity", all(p == n % 2 for p in parities), parities, n % 2)
-    )
+    out.append(Verdict("5.4(5) parity", flipped_indices(n, gam.gamma) == (0,), parities, n % 2))
     out.append(_bound("5.5(1) genus vs type sum", 2 * g + 1, g1))
     out.append(Verdict("5.5(2) unramified birational", rho != 1 or m == 1, rho, m))
     out.append(
@@ -248,35 +247,34 @@ def check_kdv(inv: CoverInvariants) -> list[Verdict]:
 # Two-point checkers (Schrodinger/Toda and sine-Gordon families)
 # ---------------------------------------------------------------------------
 
-# The two-point square bounds, by clause family: clause id and rhs - 4n for
-# distinct projections, one projection with n even, one projection with n odd.
+# Two-point square bounds by clause family: genus offset (G = g + offset), then clause id and
+# rhs - 4n for distinct projections, one projection with n even, one projection with n odd.
 _SQUARE_BOUNDS = {
-    "5.7": (("5.7(2)", 0), ("5.7(3)", -4), ("5.7(4)", -8)),  # Schrodinger/Toda covers
-    "5.8": (("5.8(2)", 0), ("5.8(3)", -4), ("5.8(4)", -8)),  # sine-Gordon covers
-    "6.11": (("6.11(3)", 0), ("6.11(1)", -4), ("6.11(2)", -8)),  # families 6.13, 6.14
-    "6.12": (("6.12(3)", -2), ("6.12(1)", -4), ("6.12(2)", -8)),  # families 6.15 - 6.18
+    "5.7": (1, ("5.7(2)", 0), ("5.7(3)", -4), ("5.7(4)", -8)),  # Schrodinger/Toda covers
+    "5.8": (0, ("5.8(2)", 0), ("5.8(3)", -4), ("5.8(4)", -8)),  # sine-Gordon covers
+    "6.11": (1, ("6.11(3)", 0), ("6.11(1)", -4), ("6.11(2)", -8)),  # families 6.13, 6.14
+    "6.12": (0, ("6.12(3)", -2), ("6.12(1)", -4), ("6.12(2)", -8)),  # families 6.15 - 6.18
 }
 
 
-def _square_bound(table: str, n: int, same_projection: bool) -> tuple[str, int]:
-    """Clause id and rhs of a two-point square bound, picked by placement
-    and by the parity of n."""
-    clause, shift = _SQUARE_BOUNDS[table][1 + n % 2 if same_projection else 0]
-    return clause, 4 * n + shift
+def _square_bound(table: str, n: int, g: int, same_projection: bool) -> tuple[str, int, int]:
+    """Clause id, rhs and genus term G = g + offset of a two-point square bound, its row
+    picked by placement and by the parity of n; the genus square bound is G^2 <= rhs."""
+    row = _SQUARE_BOUNDS[table]
+    clause, shift = row[2 + n % 2 if same_projection else 1]
+    return clause, 4 * n + shift, g + row[0]
 
 
-def _two_point(table: str, n, g, gamma, same: bool) -> tuple[int, TypeVector, list[Verdict]]:
-    """Checked n >= 1 and gamma, and the clauses both two-point families
-    state: (1) genus vs type sum, type square bound and genus square bound,
-    with genus term G = g + 1 for table "5.7" and G = g for "5.8" (g >= 0).
-    The (1) clause is 2G <= gamma^(1), the genus square bound G^2 <= rhs."""
-    (n,) = _integers((n,), 1, 1)
-    (term,) = _integers((g,), 1, 0)
-    if table == "5.7":
-        term += 1
+def _two_point(table: str, n, g, gamma, same: bool) -> tuple[int, int, TypeVector, list[Verdict]]:
+    """Checked n >= 1, g >= 0 and gamma, and the clauses both two-point
+    families state: (1) genus vs type sum 2G <= gamma^(1), type square bound
+    and genus square bound, with G from `_square_bound`."""
+    n, g = _integers("n, g", (n, g), 2, 0)
+    if n < 1:
+        raise InvalidInvariants(f"n: need an integer >= 1, got {n}")
     gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
-    clause, rhs = _square_bound(table, n, same)
-    return n, gam, [
+    clause, rhs, term = _square_bound(table, n, g, same)
+    return n, g, gam, [
         _bound(table + "(1) genus vs type sum", 2 * term, gam.total),
         _bound(clause + " type square bound", gam.square_sum, rhs),
         _bound(clause + " genus square bound", term * term, rhs),
@@ -291,7 +289,7 @@ def evaluate_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdi
             "marked points exchanged by the involution cannot project to two "
             "distinct half-periods"
         )
-    n, gam, bounds = _two_point("5.7", n, g, gamma, placement is Placement.SAME_PROJECTION)
+    n, _, gam, bounds = _two_point("5.7", n, g, gamma, placement is Placement.SAME_PROJECTION)
     parities = tuple([x % 2 for x in gam.gamma])
     return [Verdict("5.7 parity", not flipped_indices(n, gam.gamma), parities, n % 2), *bounds]
 
@@ -319,18 +317,17 @@ def evaluate_sine_gordon(
     if half_period_pair is not None:
         half_period_pair = half_period_indices(placement, half_period_pair)
     same = placement is Placement.SAME_PROJECTION
-    n, gam, bounds = _two_point("5.8", n, g, gamma, same)
+    n, g, gam, bounds = _two_point("5.8", n, g, gamma, same)
     flipped = flipped_indices(n, gam.gamma)
     if same:
         parities = tuple([x % 2 for x in gam.gamma])
         return [Verdict("5.6(3) parity", not flipped, parities, n % 2), *bounds]
     want = "two flipped indices" if half_period_pair is None else half_period_pair
     ok = len(flipped) == 2 if half_period_pair is None else flipped == want
-    # 6.12(3), sharper than 5.8(2), does not decide admissibility here; its
-    # lhs is g^2, that of 5.8's genus square bound
-    clause, rhs = _square_bound("6.12", n, same)
+    # 6.12(3), sharper than 5.8(2), does not decide admissibility here
+    clause, rhs, term = _square_bound("6.12", n, g, same)
     return [Verdict("5.6(5) parity", ok, flipped, want), *bounds,
-            _bound(clause + " genus square bound", bounds[-1].lhs, rhs, informational=True)]
+            _bound(clause + " genus square bound", term * term, rhs, informational=True)]
 
 
 def check_sine_gordon(
@@ -384,7 +381,7 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
     of types costs little more than the search; `enumerate-types` streams
     its rows from this list.
     """
-    n, d = _integers((n, d), 2, 1)
+    n, d = _integers("n, d", (n, d), 2, 1)
     target = type_square_target(n, d)
     top = math.isqrt(target)
     rest = range(n % 2, top + 1, 2)
@@ -449,20 +446,23 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
     (2d-1)(2n-2)+3 for every sign choice of the two magnitude patterns.
 
     Requires d >= 2, k in 0..3, and mu in N^4 with mu_0 + 1 = mu_1 = mu_2 =
-    mu_3 (mod 2).  Sign choices are over-generated and filtered: any gamma
-    with a negative entry is dropped, the rest are deduplicated and sorted.
-    Every survivor passes the full rho = m = 1 clause catalog and carries
-    that evaluation as its verdicts.
+    mu_3 (mod 2).  Sign choices are over-generated: any gamma with a
+    negative entry is dropped, the rest are deduplicated and sorted, and
+    those that pass the full rho = m = 1 clause catalog are kept with that
+    evaluation as their verdicts.
     """
-    d, k = _integers((d, k), 2)
-    m = _integers(mu, 4, 0)
+    d, k = _integers("d, k", (d, k), 2)
+    m = _integers("mu", mu, 4, 0)
     if d < 2:
         raise InvalidInvariants(f"need osculating order d >= 2, got {d}")
     if k not in range(4):
         raise InvalidInvariants(f"distinguished index must be 0..3, got {k}")
-    if any((m[0] + 1 - m[j]) % 2 for j in (1, 2, 3)):
+    if flipped_indices(m[0] + 1, m) != (0,):
         raise ParityViolation(f"need mu_0 + 1 = mu_j (mod 2) for j = 1..3, got {m}")
 
+    # With D = 2d-1, every mags entry is even, so gamma_i = mu_i (mod 2) and gamma^(1) is odd;
+    # sum(mags^2) is 3(D-1)^2 or D^2+3, so gamma^(2) - 3 = D^2(mu^(2) + 3 or + 1) = 0 (mod 2D);
+    # at most one gamma_i is 0, so gamma^(2) >= 3: n >= 1 and g are integers by construction.
     results: dict[Vec4, GeneratedType] = {}
     dd = 2 * d - 1
     for mags in _epsilon_patterns(d, k):
@@ -471,18 +471,9 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
             gamma = tuple(dd * m[i] + signs[i] * mags[i] for i in range(4))
             if gamma in results or any(x < 0 for x in gamma):
                 continue
-            g2 = sum(x * x for x in gamma)
-            num = g2 - 3
-            if num % (2 * dd):
-                continue
-            n = num // (2 * dd) + 1
-            if n < 1:
-                continue
-            g1 = sum(gamma)
-            if g1 % 2 == 0:
-                continue
-            g = (g1 - 1) // 2
-            vec = TypeVector(gamma)
+            vec = TypeVector._trusted(gamma)
+            n = (vec.square_sum - 3) // (2 * dd) + 1
+            g = (vec.total - 1) // 2
             verdicts = tuple(evaluate_kdv(CoverInvariants(n=n, d=d, g=g, rho=1, m=1, gamma=vec)))
             if admissible(verdicts):
                 results[gamma] = GeneratedType(vec, n, g, verdicts)
@@ -496,8 +487,8 @@ def construct_closed_forms(d: int, mu) -> tuple[int, int]:
     signs:  2g + 1 = (2d-1)*mu^(1) + 6(d-1)  and
             2n = (2d-1)*mu^(2) + 4(d-1)(mu_1 + mu_2 + mu_3) + 6d - 7,
     for d >= 1 and mu in N^4."""
-    (d,) = _integers((d,), 1, 1)
-    m = _integers(mu, 4, 0)
+    (d,) = _integers("d", (d,), 1, 1)
+    m = _integers("mu", mu, 4, 0)
     m1 = sum(m)
     m2 = sum(x * x for x in m)
     two_g_plus_1 = (2 * d - 1) * m1 + 6 * (d - 1)
@@ -531,7 +522,7 @@ class FamilySpec:
             raise InvalidInvariants(
                 f"case must be one of {FAMILY_CASES}, got {self.case!r}"
             )
-        a = _integers(self.alpha, 4, 0)
+        a = _integers("alpha", self.alpha, 4, 0)
         object.__setattr__(self, "alpha", a)
         if self.at_half_period and self.case not in ("6.13", "6.14"):
             raise InvalidInvariants(f"at_half_period is for 6.13 and 6.14, not {self.case}")
@@ -554,8 +545,8 @@ class FamilySpec:
         elif self.case == "6.17":
             if self.j0 not in (1, 2, 3):
                 raise InvalidInvariants(f"case 6.17 requires j0 in {{1, 2, 3}}, got {self.j0!r}")
-            object.__setattr__(self, "j0", _integers((self.j0,), 1)[0])
-            if any((a[self.j0] + 1 - a[i]) % 2 for i in range(4) if i != self.j0):
+            object.__setattr__(self, "j0", _integers("j0", (self.j0,), 1)[0])
+            if flipped_indices(a[self.j0] + 1, a) != (self.j0,):
                 raise ParityViolation(
                     f"case 6.17 requires alpha_j0 + 1 = alpha_i (mod 2), got {a}"
                 )
@@ -594,6 +585,6 @@ def family_params(spec: FamilySpec) -> FamilyParams:
         g, n, same = a1 + 2, a2 + a1 + 3, True
 
     # 6.13 and 6.14 are Schrodinger/Toda covers, the others sine-Gordon ones
-    table, lhs = ("6.11", (g + 1) ** 2) if case in ("6.13", "6.14") else ("6.12", g * g)
-    clause, rhs = _square_bound(table, n, same)
-    return FamilyParams(g, n, (_bound(clause + " genus square bound", lhs, rhs),))
+    table = "6.11" if case in ("6.13", "6.14") else "6.12"
+    clause, rhs, term = _square_bound(table, n, g, same)
+    return FamilyParams(g, n, (_bound(clause + " genus square bound", term * term, rhs),))

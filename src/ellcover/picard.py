@@ -49,9 +49,9 @@ class DivisorClass:
     r: Vec4
 
     def __init__(self, a: int, b: int, s: Vec4 = (0, 0, 0, 0), r: Vec4 = (0, 0, 0, 0)):
-        a, b = _integers((a, b), 2)
+        a, b = _integers("a, b", (a, b), 2)
         # the one checked constructor; frozen, so it fills __dict__ directly
-        self.__dict__.update(a=a, b=b, s=_integers(s, 4), r=_integers(r, 4))
+        self.__dict__.update(a=a, b=b, s=_integers("s", s, 4), r=_integers("r", r, 4))
 
     def dot(self, other: "DivisorClass") -> int:
         s, r, t, u = self.s, self.r, other.s, other.r
@@ -75,7 +75,7 @@ class DivisorClass:
 
     def divided_by(self, m: int) -> "DivisorClass":
         """Divide all coefficients by an integer m >= 1 that divides every one."""
-        (m,) = _integers((m,), 1, 1)
+        (m,) = _integers("m", (m,), 1, 1)
         if any(c % m for c in self.coefficients()):
             raise InvalidInvariants(f"class is not divisible by {m}")
         return DivisorClass.from_coefficients(c // m for c in self.coefficients())
@@ -91,7 +91,7 @@ class DivisorClass:
         return (-1) * self
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        (k,) = _integers((k,), 1)
+        (k,) = _integers("k", (k,), 1)
         return DivisorClass.from_coefficients(k * c for c in self.coefficients())
 
 
@@ -145,10 +145,11 @@ def cover_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
 
         e*(n*C_o + (2d-1)*F) - rho*s_0 - sum_i gamma_i * r_i
     """
-    n, d, rho = _integers((n, d, rho), 3, 1)
+    n, d, rho = _integers("n, d, rho", (n, d, rho), 3, 1)
     if rho % 2 == 0 or rho > 2 * d - 1:
         raise InvalidInvariants(f"ramification rho={rho} must be odd, 1 <= rho <= {2 * d - 1}")
-    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), tuple(-x for x in _integers(gamma, 4, 0)))
+    gamma = _integers("gamma", gamma, 4, 0)
+    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), tuple(-x for x in gamma))
 
 
 def _descended(d: DivisorClass) -> tuple[int, int]:
@@ -210,7 +211,7 @@ def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClas
     and none otherwise.
     """
     idx = half_period_indices(placement, indices)
-    (n,) = _integers((n,), 1, 1)
+    (n,) = _integers("n", (n,), 1, 1)
     g = TypeVector(gamma).gamma
     want = idx if placement is Placement.DISTINCT_HALF_PERIODS else ()
     if flipped_indices(n, g) != want:
@@ -222,10 +223,10 @@ def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClas
 
 def parity_exceptional_index(alpha) -> int:
     """Index whose parity differs from the other three; ParityViolation if absent."""
-    a = _integers(alpha, 4)
-    for k in range(4):
-        if all((a[i] - a[k]) % 2 for i in range(4) if i != k):
-            return k
+    a = _integers("alpha", alpha, 4)
+    for flipped in (flipped_indices(0, a), flipped_indices(1, a)):
+        if len(flipped) == 1:
+            return flipped[0]
     raise ParityViolation(f"no unique parity-exceptional index in {a}")
 
 
@@ -236,7 +237,7 @@ def exceptional_class(alpha) -> DivisorClass:
         e*(n*C_o + F_k) - s_k - sum_i alpha_i r_i
     (F_k is a fiber, hence b = 1 numerically).
     """
-    a = _integers(alpha, 4, 0)
+    a = _integers("alpha", alpha, 4, 0)
     sq = sum(x * x for x in a)
     if sq % 2 == 0:
         raise ParityViolation(f"sum of squares {sq} must be odd")

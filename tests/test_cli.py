@@ -82,6 +82,22 @@ def test_check_cover_two_point_degree_and_genus_floors_are_usage_errors(args):
     assert res.stderr.startswith(b"error: ")
 
 
+@pytest.mark.parametrize("args,name", [
+    (("check-cover", "--case", "nls", "--n", "0", "--g", "-1", "--gamma", "0,0,0,0"), b"n, g"),
+    (("check-cover", "--case", "sg", "--n", "0", "--g", "1", "--gamma", "0,0,0,0",
+      "--placement", "same-projection"), b"n"),
+    (("check-cover", "--case", "kdv", "--n", "3", "--d", "1", "--g", "2", "--gamma", "2,1,1,-1"),
+     b"gamma"),
+    (("enumerate-types", "--n", "0", "--d", "1"), b"n, d"),
+    (("construct-68", "--d", "2", "--k", "0", "--mu", "0,1,1,-1"), b"mu"),
+    (("family", "--theorem", "6.13", "--alpha", "0,0,0,-1"), b"alpha"),
+], ids=["nls-n-g", "sg-n", "kdv-gamma", "enumerate-n-d", "construct-mu", "family-alpha"])
+def test_integer_floor_errors_name_their_input(args, name):
+    res = run_cli(*args)
+    assert res.returncode == 2 and res.stdout == b""
+    assert res.stderr.startswith(b"error: " + name + b": ")
+
+
 def test_construct_68_table():
     res = run_cli("construct-68", "--d", "2", "--k", "0", "--mu", "0,1,1,1")
     assert res.returncode == 0

@@ -13,6 +13,7 @@ from ellcover.invariants import (
     Placement,
     TypeVector,
     Verdict,
+    _epsilon_patterns,
     admissible,
     check_kdv,
     check_nls_toda,
@@ -26,7 +27,7 @@ from ellcover.invariants import (
     family_params,
     type_square_target,
 )
-from ellcover.picard import nls_sg_class
+from ellcover.picard import nls_sg_class, parity_exceptional_index
 
 
 def make_inv(n, d, g, rho=1, m=1, gamma=(0, 1, 1, 1)):
@@ -522,3 +523,86 @@ def test_family_outputs_always_satisfy_their_restriction(alpha, salt):
             continue
         res = family_params(spec)
         assert all(v.ok for v in res.verdicts)
+
+
+# -- error names, domain checks and the parity rules ----------------------------------
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: TypeVector((1, -1, 0, 0)), "gamma"),
+    (lambda: CoverInvariants(3, 1, 2, 1, 1, (2, 1.5, 1, 1)), "gamma"),
+    (lambda: CoverInvariants(3.5, 1, 2, 1, 1, (2, 1, 1, 1)), "n, d, g, rho, m"),
+    (lambda: enumerate_types(0, 1), "n, d"),
+    (lambda: construct_types(2.5, 0, (0, 1, 1, 1)), "d, k"),
+    (lambda: construct_types(2, 0, (0, 1, 1, -1)), "mu"),
+    (lambda: construct_closed_forms(0, (0, 1, 1, 1)), "d"),
+    (lambda: construct_closed_forms(2, (0, 1, 1, -1)), "mu"),
+    (lambda: FamilySpec("6.13", (0, 0, 0, -1)), "alpha"),
+    (lambda: evaluate_nls_toda(0, -1, (0, 0, 0, 0), Placement.DISTINCT_GENERIC), "n, g"),
+    (lambda: evaluate_nls_toda(0, 2, (0, 0, 0, 0), Placement.DISTINCT_GENERIC), "n"),
+    (lambda: evaluate_sine_gordon(4, 2.5, (2, 2, 1, 1), Placement.DISTINCT_HALF_PERIODS), "n, g"),
+], ids=["type-neg", "cover-gamma-half", "cover-n-half", "enum-n-0", "construct-d-half",
+        "construct-mu-neg", "closed-d-0", "closed-mu-neg", "family-alpha-neg", "nls-n-g",
+        "nls-n-0", "sg-g-half"])
+def test_integer_errors_name_their_input(call, name):
+    with pytest.raises(InvalidInvariants) as raised:
+        call()
+    assert str(raised.value).startswith(name + ": ")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: construct_closed_forms(2, (0, 0, 0, 0)),  # 2g + 1 = 6
+    lambda: CoverInvariants(3, 1, 2, 1, 0, (2, 1, 1, 1)),  # m = 0
+    lambda: construct_types(2, 4, (0, 1, 1, 1)),  # k outside 0..3
+], ids=["closed-not-integral", "cover-m-0", "construct-k-4"])
+def test_remaining_domain_checks_raise(call):
+    with pytest.raises(InvalidInvariants) as raised:
+        call()
+    assert type(raised.value) is InvalidInvariants
+
+
+def _raises(exc, call):
+    try:
+        call()
+    except exc:
+        return True
+    return False
+
+
+def test_parity_rules_match_their_written_out_formulas():
+    """5.4(5), the construct_types mu rule, 6.17's j0 rule and the
+    parity-exceptional index, each against its congruences written out."""
+    for a in product(range(4), repeat=4):
+        mu_ok = not any((a[0] + 1 - a[j]) % 2 for j in (1, 2, 3))
+        assert _raises(ParityViolation, lambda: construct_types(2, 0, a)) is not mu_ok, a
+        for j0 in (1, 2, 3):
+            ok = not any((a[j0] + 1 - a[i]) % 2 for i in range(4) if i != j0)
+            assert _raises(ParityViolation, lambda: FamilySpec("6.17", a, j0=j0)) is not ok
+        unique = [k for k in range(4) if all((a[i] - a[k]) % 2 for i in range(4) if i != k)]
+        if unique:
+            assert parity_exceptional_index(a) == unique[0], a
+        else:
+            assert _raises(ParityViolation, lambda: parity_exceptional_index(a)), a
+        for n in (1, 2, 3):
+            parities = ((a[0] + 1) % 2, a[1] % 2, a[2] % 2, a[3] % 2)
+            verdict = evaluate_kdv(make_inv(n, 1, 0, gamma=a))[2]
+            assert verdict.clause == "5.4(5) parity" and verdict.lhs == parities
+            assert verdict.ok == all(p == n % 2 for p in parities), (n, a)
+
+
+def test_generated_candidates_need_no_degree_or_genus_filter():
+    """Every non-negative candidate of `construct_types` has odd gamma^(1),
+    gamma^(2) >= 3 and 2(2d-1) dividing gamma^(2) - 3, so its degree n >= 1
+    and genus are integers without a filter."""
+    box = [mu for mu in product(range(5), repeat=4)
+           if not any((mu[0] + 1 - mu[j]) % 2 for j in (1, 2, 3))]
+    for d in range(2, 7):
+        dd = 2 * d - 1
+        for k in range(4):
+            for mags, mu, signs in product(_epsilon_patterns(d, k), box,
+                                           product((-1, 1), repeat=4)):
+                gamma = [dd * m + s * e for m, s, e in zip(mu, signs, mags)]
+                if min(gamma) < 0:
+                    continue
+                g1, g2 = sum(gamma), sum(x * x for x in gamma)
+                assert g1 % 2 == 1 and g2 >= 3 and (g2 - 3) % (2 * dd) == 0, (d, k, mu, gamma)

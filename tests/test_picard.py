@@ -295,3 +295,41 @@ def test_bad_input_fails_loudly():
     assert np.int64(2) * d == d + d and True * d == d
     assert s_class(np.int64(2)) == s_class(2) and r_class(True) == r_class(1)
     assert repr(s_class(2)) == "DivisorClass(a=0, b=0, s=(0, 0, 1, 0), r=(0, 0, 0, 0))"
+
+
+@pytest.mark.parametrize("alpha,index", [((0, 0, 1, 0), 2), ((1, 1, 1, 0), 3)])
+def test_parity_exceptional_index_at_the_last_two_indices(alpha, index):
+    assert parity_exceptional_index(alpha) == index
+
+
+@pytest.mark.parametrize("alpha", [(0, 0, 1, 1), (1, 1, 1, 1)])
+def test_parity_exceptional_index_raises_without_a_unique_index(alpha):
+    with pytest.raises(ParityViolation):
+        parity_exceptional_index(alpha)
+
+
+def test_tilde_genus_of_a_tau_invariant_class():
+    d = cover_class(5, 2, 3, (0, 3, 1, 1))
+    t = TauInvariantClass(d)
+    assert tilde_genus(t) == t.quotient_genus == tilde_genus(d) == 2  # (3 * 8 + 4 - 9 - 11) / 4
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda d: d.divided_by(0), "m"),
+    (lambda d: cover_class(3, 0, 1, (2, 1, 1, 1)), "n, d, rho"),
+    (lambda d: cover_class(3, 1, 1, (-1, 1, 1, 1)), "gamma"),
+    (lambda d: nls_sg_class(0, Placement.DISTINCT_GENERIC, (0, 0, 0, 0)), "n"),
+    (lambda d: nls_sg_class(4, Placement.DISTINCT_GENERIC, (2, 2, -2, 2)), "gamma"),
+    (lambda d: exceptional_class((1, 0, -1, 0)), "alpha"),
+    (lambda d: parity_exceptional_index((1.5, 0, 0, 0)), "alpha"),
+    (lambda d: DivisorClass(1.7, 0), "a, b"),
+    (lambda d: DivisorClass(0, 0, (0, 0, 0)), "s"),
+    (lambda d: DivisorClass(0, 0, r=(0.5, 0, 0, 0)), "r"),
+    (lambda d: 2.5 * d, "k"),
+], ids=["divided-0", "cover-d-0", "cover-gamma-neg", "nls-sg-n-0", "nls-sg-gamma-neg",
+        "exceptional-neg", "parity-index-half", "class-a-half", "class-s-short",
+        "class-r-half", "times-half"])
+def test_integer_errors_name_their_input(call, name):
+    with pytest.raises(InvalidInvariants) as raised:
+        call(cover_class(3, 1, 1, (2, 1, 1, 1)))
+    assert str(raised.value).startswith(name + ": ")
