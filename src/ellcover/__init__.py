@@ -1,9 +1,9 @@
 """Toolkit for cover invariants over an elliptic curve and the elliptic
 function numerics that verify their flow periodicity at genus 1.
 
-The numeric names (from `elliptic` and `kdv`) are loaded on first access,
-so importing the package, or using only its integer layers, does not
-import numpy."""
+The numeric names (from `elliptic` and `kdv`) and the Picard names (from
+`picard`) are loaded on first access, so importing the package, or using
+only its integer layers, imports neither numpy nor `picard`."""
 
 import importlib
 
@@ -36,40 +36,28 @@ from .invariants import (
     family_params,
     type_square_target,
 )
-from .picard import (
-    DivisorClass,
-    TauInvariantClass,
-    adjunction_genus,
-    canonical_class,
-    cover_class,
-    exceptional_class,
-    fiber_class,
-    intersect,
-    is_exceptional_first_kind,
-    nls_sg_class,
-    r_class,
-    s_class,
-    section_class,
-    tilde_genus,
-)
 
 __version__ = "0.1.0"
 
-# numeric names, by the module that defines them; bound on first access
-_NUMERIC = {
+# names loaded on first access, by the module that defines them
+_LAZY = {
     "elliptic": ("HalfPeriodIndex", "Lattice", "QuasiPeriods", "half_period",
                  "legendre_defect", "quasi_periods", "reduce", "wp", "wp_prime", "zeta"),
     "kdv": ("Grid", "TravelingWave", "kdv_residual", "monodromy_factor", "periodicity_check"),
+    "picard": ("DivisorClass", "TauInvariantClass", "adjunction_genus", "canonical_class",
+               "cover_class", "exceptional_class", "fiber_class", "intersect",
+               "is_exceptional_first_kind", "nls_sg_class", "r_class", "s_class",
+               "section_class", "tilde_genus"),
 }
 
 __all__ = sorted(
     [k for k, v in globals().items() if getattr(v, "__module__", "").startswith(__name__ + ".")]
-    + [name for names in _NUMERIC.values() for name in names]
+    + [name for names in _LAZY.values() for name in names]
 )
 
 
 def __getattr__(name: str):
-    for module, names in _NUMERIC.items():
+    for module, names in _LAZY.items():
         if name in names:
             value = getattr(importlib.import_module(f".{module}", __name__), name)
             return globals().setdefault(name, value)

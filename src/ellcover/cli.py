@@ -23,7 +23,8 @@ environment knobs.
 
 The integer subcommands never import numpy: the elliptic and kdv names
 used by `legendre` and `verify-kdv` are bound into this module on first
-use (or on first attribute access from outside).
+use (or on first attribute access from outside).  Only `picard-genus`
+imports `picard`.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import invariants as inv
-from . import picard
 from .errors import EllcoverError, InvalidInvariants
 
 # elliptic/kdv names used by the numeric handlers, loaded on first use
@@ -393,6 +393,8 @@ def _cmd_family(args) -> list[dict]:
 
 
 def _cmd_picard_genus(args) -> list[dict]:
+    from . import picard  # the only handler that needs it
+
     d = picard.DivisorClass.from_coefficients(args.cls)
     d_squared = d.self_intersection
     k_pairing = d.dot(picard.canonical_class())
@@ -461,7 +463,10 @@ def _cmd_verify_kdv(args) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it,
+    and help text is formatted when it is asked for."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS,
                         help="output format (default: json)")

@@ -118,7 +118,9 @@ def _split(arr: np.ndarray, p1: complex, p2: complex):
     c11, c12, c21, c22 = _inverse_basis(p1, p2)
     m = np.round(c11 * arr.real + c12 * arr.imag)
     n = np.round(c21 * arr.real + c22 * arr.imag)
-    return arr - m * p1 - n * p2, m, n
+    out = arr - m * p1
+    out -= n * p2
+    return out, m, n
 
 
 @dataclass(frozen=True)
@@ -272,10 +274,10 @@ class Lattice:
         if not np.isfinite(arr).all():
             raise ValueError("evaluation points must be finite")
         zr, m, n = _split(arr, *self._reduced)
-        dist = np.abs(zr)
-        if np.any(dist < self.pole_radius):
+        closest = np.abs(zr).min() if zr.size else math.inf
+        if closest < self.pole_radius:
             raise PoleProximity(
-                f"point within {float(np.min(dist)):.3e} of a lattice point "
+                f"point within {float(closest):.3e} of a lattice point "
                 f"(exclusion radius {self.pole_radius:.3e})"
             )
         return zr, m, n, arr.ndim == 0
@@ -307,10 +309,10 @@ class Lattice:
         k = math.pi / self._reduced[0]
         rows, q2 = self._rows, self._q2
         z = zr.reshape(-1)
-        v = k * z
-        parity = np.where(np.signbit(v.imag), -1.0, 1.0)
-        v *= parity
-        w = 2j * v
+        w = k * z  # v, then 2iv, in place
+        parity = np.where(np.signbit(w.imag), -1.0, 1.0)
+        w *= parity
+        w *= 2j
         # p = 0 (zeta), 1 (wp), 2 (wp'); the table needs f0..f_p
         p = _SERIES_POWER[name]
         height = rows + p + 1

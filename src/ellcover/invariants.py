@@ -37,9 +37,18 @@ from .errors import InvalidInvariants, ParityViolation
 Vec4 = tuple[int, int, int, int]
 
 
-def _integers(name: str, values, count: int, low: Optional[int] = None) -> tuple[int, ...]:
+def _below(name: str, value: int, low: int) -> InvalidInvariants:
+    """The error of one named integer below its floor."""
+    return InvalidInvariants(f"{name}: need an integer >= {low}, got {value}")
+
+
+def _integers(name: str, values, count: int,
+              low: int | tuple[Optional[int], ...] | None = None) -> tuple[int, ...]:
     """`values` as `count` ints; InvalidInvariants naming `name` for another
-    count, a non-integer, or a value below `low` when one is given."""
+    count, a non-integer, or a value below `low` when one is given.  `low`
+    is one floor for every value, or a tuple of one floor per value (None
+    for none), whose error names the value: `name` then lists one name per
+    value, comma-separated."""
     given = tuple(values)
     try:
         ints = tuple(map(int, given))
@@ -47,7 +56,11 @@ def _integers(name: str, values, count: int, low: Optional[int] = None) -> tuple
         ints = ()
     if len(ints) != count or ints != given:
         raise InvalidInvariants(f"{name}: expected {count} integers, got {given}")
-    if low is not None and min(ints) < low:
+    if type(low) is tuple:
+        for i, floor in enumerate(low):
+            if floor is not None and ints[i] < floor:
+                raise _below(name.split(", ")[i], ints[i], floor)
+    elif low is not None and min(ints) < low:
         raise InvalidInvariants(f"{name}: need integers >= {low}, got {ints}")
     return ints
 
@@ -104,17 +117,9 @@ class CoverInvariants:
 
     def __post_init__(self):
         fields = (self.n, self.d, self.g, self.rho, self.m)
-        n, d, g, rho, m = _integers("n, d, g, rho, m", fields, 5)
+        n, d, g, rho, m = _integers("n, d, g, rho, m", fields, 5, (1, 1, 0, None, 1))
         # frozen, so the checked ints go into __dict__ directly
         self.__dict__.update(n=n, d=d, g=g, rho=rho, m=m)
-        if self.n < 1:
-            raise InvalidInvariants(f"degree n must be >= 1, got {self.n}")
-        if self.d < 1:
-            raise InvalidInvariants(f"osculating order d must be >= 1, got {self.d}")
-        if self.g < 0:
-            raise InvalidInvariants(f"genus g must be >= 0, got {self.g}")
-        if self.m < 1:
-            raise InvalidInvariants(f"image degree m must be >= 1, got {self.m}")
         if not isinstance(self.gamma, TypeVector):
             object.__setattr__(self, "gamma", TypeVector(self.gamma))
 
@@ -271,7 +276,7 @@ def _two_point(table: str, n, g, gamma, same: bool) -> tuple[int, int, TypeVecto
     and genus square bound, with G from `_square_bound`."""
     n, g = _integers("n, g", (n, g), 2, 0)
     if n < 1:
-        raise InvalidInvariants(f"n: need an integer >= 1, got {n}")
+        raise _below("n", n, 1)
     gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
     clause, rhs, term = _square_bound(table, n, g, same)
     return n, g, gam, [

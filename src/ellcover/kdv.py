@@ -19,7 +19,11 @@ central stencils (5-point for u_xxx); the time derivative is available
 both as a stencil and exactly through the chain rule on wp', and the two
 backends must agree to stencil accuracy.  Asked for a tuple of backends,
 it evaluates u over the grid once and returns one residual per backend;
-the chain backend evaluates wp' only on the stencil core.
+the chain backend evaluates wp' only on the stencil core.  The grid is a
+column of x against a row of t, broadcast once by the phase; the stencils
+are built in place, each float operation in the order the formulas are
+written, so the residuals are bit for bit those of one fresh array per
+operation.
 `periodicity_check` verifies that u is an exact lattice-period function
 of x, and `monodromy_factor` evaluates the single-valuedness factor
 
@@ -67,10 +71,16 @@ class TravelingWave:
         return 1.5 * self.lam if self.speed is None else self.speed
 
     def phase(self, x, t):
-        return np.asarray(x, complex) + self.velocity * np.asarray(t, complex) + self.x0
+        """x + velocity*t + x0, broadcasting x against t."""
+        out = np.asarray(x, complex) + self.velocity * np.asarray(t, complex)
+        out += self.x0
+        return out
 
     def u(self, x, t):
-        return -2.0 * wp(self.lattice, self.phase(x, t)) + self.lam
+        out = wp(self.lattice, self.phase(x, t))
+        out *= -2.0
+        out += self.lam
+        return out
 
     def u_t(self, x, t):
         """Exact time derivative via the chain rule on wp'."""
@@ -133,26 +143,37 @@ def kdv_residual(
         if name not in ("stencil", "chain"):
             raise InvalidInvariants(f"unknown time-derivative backend {name!r}")
 
-    x = grid.x_samples(wave.lattice)
-    t = grid.t_samples()
-    X, T = np.meshgrid(x, t, indexing="ij")
+    X = grid.x_samples(wave.lattice)[:, None]
+    T = grid.t_samples()[None, :]
     U = wave.u(X, T)
 
     hx, ht = grid.hx, grid.ht
-    core = np.s_[2:-2, 1:-1]
-    u = U[core]
-    u_x = (U[3:-1, 1:-1] - U[1:-3, 1:-1]) / (2.0 * hx)
-    u_xxx = (U[4:, 1:-1] - 2.0 * U[3:-1, 1:-1] + 2.0 * U[1:-3, 1:-1] - U[:-4, 1:-1]) / (
-        2.0 * hx**3
-    )
-    rhs = 0.25 * (6.0 * u * u_x + u_xxx)
+    # each float operation of u_x = (U3 - U1) / (2*hx),
+    # u_xxx = (U4 - 2*U3 + 2*U1 - U0) / (2*hx^3) and
+    # rhs = 0.25 * (6*u*u_x + u_xxx) as written, with Uk = U[k:k-4, 1:-1],
+    # in three buffers; the complex product 6*u*u_x gets a fresh one, as
+    # numpy may round it differently when its output is an input
+    U0, U1, U3, U4 = U[:-4, 1:-1], U[1:-3, 1:-1], U[3:-1, 1:-1], U[4:, 1:-1]
+    a = np.subtract(U3, U1)  # u_x
+    a /= 2.0 * hx
+    b = np.multiply(6.0, U[2:-2, 1:-1])
+    rhs = np.multiply(b, a)
+    np.multiply(2.0, U3, out=a)  # u_xxx
+    np.subtract(U4, a, out=a)
+    a += np.multiply(2.0, U1, out=b)
+    a -= U0
+    a /= 2.0 * hx**3
+    rhs += a
+    rhs *= 0.25
     residuals = []
     for name in backends:
         if name == "stencil":
-            u_t = (U[2:-2, 2:] - U[2:-2, :-2]) / (2.0 * ht)
+            d = np.subtract(U[2:-2, 2:], U[2:-2, :-2])
+            d /= 2.0 * ht
         else:
-            u_t = wave.u_t(X[core], T[core])
-        residuals.append(float(np.max(np.abs(u_t - rhs))))
+            d = wave.u_t(X[2:-2], T[:, 1:-1])
+        d -= rhs
+        residuals.append(float(np.abs(d).max()))
     return tuple(residuals) if many else residuals[0]
 
 
@@ -166,11 +187,15 @@ def shift_defect(
     """max |u(x + s, t) - u(x, t)| over default samples and every shift s,
     with u(x, t) evaluated once: one more evaluation of u per shift."""
     grid = replace(Grid.for_lattice(wave.lattice, nx=nx, nt=nt), x_center=x_center)
-    x = grid.x_samples(wave.lattice)
-    t = grid.t_samples()
-    X, T = np.meshgrid(x, t, indexing="ij")
+    X = grid.x_samples(wave.lattice)[:, None]
+    T = grid.t_samples()[None, :]
     U = wave.u(X, T)
-    return max([float(np.max(np.abs(wave.u(X + s, T) - U))) for s in shifts])
+    defects = []
+    for s in shifts:
+        d = wave.u(X + s, T)
+        d -= U
+        defects.append(float(np.abs(d).max()))
+    return max(defects)
 
 
 def periodicity_check(wave: TravelingWave) -> float:

@@ -349,6 +349,56 @@ def test_check_cover_kdv_defaults_are_one():
     assert implicit.stdout == explicit.stdout
 
 
+@pytest.mark.parametrize("flag, value, low", [
+    ("--n", "0", 1), ("--d", "0", 1), ("--g", "-1", 0), ("--m", "0", 1),
+])
+def test_check_cover_kdv_floors_read_like_the_two_point_ones(flag, value, low, capsys):
+    given = {"--n": "3", "--d": "1", "--g": "2", "--m": "1", flag: value}
+    argv = [x for item in given.items() for x in item]
+    assert cli.run(["check-cover", "--case", "kdv", *argv, "--gamma", "2,1,1,1"]) == 2
+    kdv = capsys.readouterr()
+    assert kdv.out == ""
+    assert kdv.err == f"error: {flag[2:]}: need an integer >= {low}, got {value}\n"
+    if flag == "--n":
+        assert cli.run(["check-cover", "--case", "nls", "--n", "0", "--g", "2",
+                        "--gamma", "0,0,0,0"]) == 2
+        assert capsys.readouterr().err == kdv.err
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+
+    def stdout_of(argv):  # exit code and stdout of an in-process run
+        capsys.readouterr()
+        code = cli.run(argv)
+        return code, capsys.readouterr().out.encode()
+
+    table = tmp_path / "kdv.csv"
+    assert cli.run(["--format", "csv", "--output", str(table), "verify-kdv", "--omega1", PI,
+                    "--omega2", PI + "i", "--grid", "40,8"]) == 0
+    assert table.read_text().startswith("inputs.omega1,")
+    legendre = ["legendre", "--omega1", "0.7", "--omega2", "0.21+0.91i"]
+    assert stdout_of(legendre) == (0, run_cli(*legendre).stdout)  # JSON, to stdout
+
+    assert cli.run(["check-cover", "--n", "x", "--g", "2", "--gamma", "2,1,1,1"]) == 2
+    family = ["family", "--theorem", "6.18", "--alpha", "0,0,0,0"]
+    assert stdout_of(family) == (0, run_cli(*family).stdout)
+
+    assert cli.run(["check-cover", "--case", "sg", "--n", "5", "--g", "1", "--gamma", "1,1,1,1",
+                    "--placement", "same-projection", "--format", "csv"]) in (0, 1)
+    enumerate_types = ["enumerate-types", "--n", "6", "--d", "2"]
+    assert vars(parser.parse_args(enumerate_types)) == {
+        "command": "enumerate-types", "n": 6, "d": 2, "handler": cli._cmd_enumerate_types}
+    assert stdout_of(enumerate_types) == (0, run_cli(*enumerate_types).stdout)
+
+    fresh = cli._build_parser.__wrapped__()
+    assert fresh is not parser and fresh.format_help() == parser.format_help()
+    assert fresh.format_usage() == parser.format_usage()
+    for name in ("verify-kdv", "check-cover"):
+        assert stdout_of([name, "--help"]) == (0, run_cli(name, "--help").stdout)
+
+
 INTEGER_COMMANDS = [
     ["enumerate-types", "--n", "6", "--d", "2"],
     ["check-cover", "--n", "3", "--g", "2", "--gamma", "2,1,1,1"],
@@ -374,6 +424,26 @@ def test_integer_subcommands_do_not_import_numpy():
     res = subprocess.run([sys.executable, "-c", script, json.dumps(INTEGER_COMMANDS)],
                          capture_output=True, env=env, check=True)
     assert json.loads(res.stdout) == [[argv[0], 0, False] for argv in INTEGER_COMMANDS]
+
+
+def test_only_picard_genus_imports_picard():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from ellcover import cli\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.run(argv)\n"
+        "    out.append([argv[0], code, 'ellcover.picard' in sys.modules])\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(INTEGER_COMMANDS)],
+                         capture_output=True, env=env, check=True)
+    assert [argv[0] for argv in INTEGER_COMMANDS][-1] == "picard-genus"
+    assert json.loads(res.stdout) == [[argv[0], 0, argv[0] == "picard-genus"]
+                                      for argv in INTEGER_COMMANDS]
 
 
 def test_numeric_names_still_resolve():

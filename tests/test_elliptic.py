@@ -438,3 +438,48 @@ def test_kernel_around_q_squared_underflow(im_tau):
     lat = Lattice(0.5, 0.5 * complex(0.1, im_tau))
     assert (lat._q2 == 0) == (im_tau > 118.6)
     _assert_contract(lat, _hard_points(lat))
+
+
+def _unimodular(rng) -> tuple[int, int, int, int]:
+    """A seeded integer matrix ((a, b), (c, d)) with ad - bc = 1."""
+    while True:
+        a, b = (int(v) for v in rng.integers(-4, 5, 2))
+        if math.gcd(a, b) == 1:
+            break
+    # extended Euclid: s*a + t*b = r = +-1, so (c, d) = (-t*r, s*r) works
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+    k = int(rng.integers(-3, 4))  # any multiple of (a, b) may be added to (c, d)
+    c, d = -t0 * r0 + k * a, s0 * r0 + k * b
+    assert a * d - b * c == 1
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_change_of_basis_leaves_the_functions_unchanged(seed):
+    # (omega1', omega2') = (a*omega1 + b*omega2, c*omega1 + d*omega2) with
+    # ad - bc = 1 spans the same lattice with the same orientation, so wp, wp'
+    # and zeta are unchanged, and eta, additive over the lattice, gives
+    # (eta1', eta2') = (a*eta1 + b*eta2, c*eta1 + d*eta2); each side meets the
+    # contract, so they differ by at most twice its bound
+    rng = np.random.default_rng(3000 + seed)
+    lat = random_lattice(rng)
+    a, b, c, d = _unimodular(rng)
+    rebased = Lattice(a * lat.omega1 + b * lat.omega2, c * lat.omega1 + d * lat.omega2)
+    q1, q2 = lat._reduced
+    cell = rng.uniform(-0.5, 0.5, (2, 32))
+    pts = cell[0] * q1 + cell[1] * q2
+    pts = pts[np.abs(pts) > 2 * lat.pole_radius]
+    scale = math.pi / lat.shortest_vector
+    for f, k in ((wp, 2), (wp_prime, 3), (zeta, 1)):
+        want = f(lat, pts)
+        bound = 2 * lat.tolerance * (np.abs(want) + scale**k)
+        assert np.all(np.abs(f(rebased, pts) - want) <= bound), f.__name__
+    old, new = quasi_periods(lat), quasi_periods(rebased)
+    size = abs(old.eta1) + abs(old.eta2) + scale
+    for (x, y), eta in (((a, b), new.eta1), ((c, d), new.eta2)):
+        # eta_j = 2*zeta(omega_j), each at most (|x| + |y|) lattice steps away
+        bound = 2 * lat.tolerance * (abs(x) + abs(y)) * size
+        assert abs(eta - (x * old.eta1 + y * old.eta2)) <= bound

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_lattice
-from ellcover.elliptic import Lattice, quasi_periods
+from ellcover.elliptic import Lattice, quasi_periods, wp, wp_prime
 from ellcover.errors import InvalidInvariants, PoleProximity
 from ellcover.kdv import (
     Grid,
@@ -64,6 +64,74 @@ def test_backend_tuple_matches_single_calls(tau, rows, lam):
         assert kdv_residual(w, g, ("stencil", "chain")) == (stencil, chain)
         assert kdv_residual(w, g, ("chain", "stencil")) == (chain, stencil)
         assert kdv_residual(w, g, ("chain",)) == (chain,)
+
+
+def _meshgrid_u(wave, X, T):
+    phase = np.asarray(X, complex) + wave.velocity * np.asarray(T, complex) + wave.x0
+    return -2.0 * wp(wave.lattice, phase) + wave.lam
+
+
+def _meshgrid_residuals(wave, grid):
+    """(stencil, chain) residuals by the formulas as first written: full
+    meshgrid arrays, one fresh array per operation."""
+    X, T = np.meshgrid(grid.x_samples(wave.lattice), grid.t_samples(), indexing="ij")
+    U = _meshgrid_u(wave, X, T)
+    hx, ht = grid.hx, grid.ht
+    core = np.s_[2:-2, 1:-1]
+    u = U[core]
+    u_x = (U[3:-1, 1:-1] - U[1:-3, 1:-1]) / (2.0 * hx)
+    u_xxx = (U[4:, 1:-1] - 2.0 * U[3:-1, 1:-1] + 2.0 * U[1:-3, 1:-1] - U[:-4, 1:-1]) / (
+        2.0 * hx**3
+    )
+    rhs = 0.25 * (6.0 * u * u_x + u_xxx)
+    stencil = (U[2:-2, 2:] - U[2:-2, :-2]) / (2.0 * ht)
+    phase = np.asarray(X[core], complex) + wave.velocity * np.asarray(T[core], complex) + wave.x0
+    chain = -2.0 * wave.velocity * wp_prime(wave.lattice, phase)
+    return tuple(float(np.max(np.abs(u_t - rhs))) for u_t in (stencil, chain))
+
+
+def _meshgrid_shift_defect(wave, *shifts, nx=40, nt=5):
+    grid = Grid.for_lattice(wave.lattice, nx=nx, nt=nt)
+    X, T = np.meshgrid(grid.x_samples(wave.lattice), grid.t_samples(), indexing="ij")
+    U = _meshgrid_u(wave, X, T)
+    return max([float(np.max(np.abs(_meshgrid_u(wave, X + s, T) - U))) for s in shifts])
+
+
+# 5x3 grids have a one-point stencil core, where numpy's complex product can
+# round differently when its output is one of its inputs; the coarse grids
+# and the one near a pole make neighbouring values far apart, so fewer of
+# the stencil's sums are exact
+EXACT_CASES = {
+    "square-40x8": (math.pi, math.pi * 1j, 0.0, 0.0, 40, 8, {}),
+    "lambda-97x13": (math.pi, complex(0.1, 1.5) * math.pi, 1.3, 0.0, 97, 13, {}),
+    "x0-333x7": (math.pi, complex(-0.3, 0.8) * math.pi, -0.7, 0.2 + 0.1j, 333, 7, {}),
+    "skew-1000x6": (math.pi, complex(0.4, 1.2) * math.pi, 0.9 - 0.4j, 0.0, 1000, 6, {}),
+    "skew-basis-64x21": (0.8, 0.8 * complex(3.2, 1.1), 0.4 + 0.2j, -0.1, 64, 21, {}),
+    "complex-lambda-5x3": (2.0, complex(0.9, 2.3), 0.5 + 0.9j, 0.3 - 0.2j, 5, 3, {}),
+    "complex-lambda-5x3-b": (math.pi, complex(0.2, 1.1) * math.pi, -1.7 + 0.6j, 0.1, 5, 3, {}),
+    "coarse-41x7": (math.pi, complex(0.4, 1.2) * math.pi, -0.8, 0.2j, 41, 7,
+                    {"hx": 0.1, "ht": 0.03}),
+    "near-pole-13x5": (1 + 0.5j, -0.7 + 1.9j, 0.3 + 0.2j, 0.1j, 13, 5,
+                       {"hx": 0.06, "ht": 0.01, "x_center": 0.5}),
+}
+
+
+@pytest.mark.parametrize("omega1, omega2, lam, x0, nx, nt, spacing", EXACT_CASES.values(),
+                         ids=EXACT_CASES)
+def test_residuals_equal_the_meshgrid_formulas_exactly(omega1, omega2, lam, x0, nx, nt, spacing):
+    lat = Lattice(omega1, omega2)
+    g = Grid(nx, nt=nt, **spacing) if spacing else Grid.for_lattice(lat, nx, nt)
+    w = TravelingWave(lat, lam=lam, x0=x0)
+    stencil, chain = _meshgrid_residuals(w, g)
+    assert kdv_residual(w, g, "stencil") == stencil
+    assert kdv_residual(w, g, "chain") == chain
+    assert kdv_residual(w, g, ("stencil", "chain")) == (stencil, chain)
+    assert kdv_residual(w, g, ("chain", "stencil")) == (chain, stencil)
+    p1, p2 = lat.periods
+    for nx, nt in ((40, 5), (nx, nt)):
+        assert shift_defect(w, p1, p2, nx=nx, nt=nt) == _meshgrid_shift_defect(
+            w, p1, p2, nx=nx, nt=nt)
+    assert periodicity_check(w) == _meshgrid_shift_defect(w, p1, p2)
 
 
 def test_verify_kdv_evaluates_each_grid_once(monkeypatch):
