@@ -21,23 +21,25 @@ full disk, say) leaves a truncated --output file or partial stdout; nothing
 is rolled back.  Data goes to stdout, diagnostics to stderr.  There are no
 environment knobs.
 
-The integer subcommands never import numpy: the elliptic and kdv names
-used by `legendre` and `verify-kdv` are bound into this module on first
-use (or on first attribute access from outside).  Only `picard-genus`
-imports `picard`.  The argument parser is built once per process.
+An integer subcommand's child loads argparse and the package's integer
+layer (`invariants`, whose records need no `dataclasses`), never numpy;
+`csv` only for `--format csv`, and `fractions` only through `picard`, which
+only `picard-genus` imports.  The elliptic and kdv names used by `legendre`
+and `verify-kdv` are bound into this module on first use (or on first
+attribute access from outside).  The argument parser is built once per
+process.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
 import math
 import os
+import re
 import sys
-from fractions import Fraction
 from typing import Iterator
 
 from . import invariants as inv
@@ -119,13 +121,16 @@ def _flat_complex(v: complex) -> str:
     return f"{_fmt_float(v.real)}{'+' if v.imag >= 0 else '-'}{_fmt_float(abs(v.imag))}i"
 
 
-# type, JSON text, CSV cell text (None: not a CSV cell)
+# type, JSON text, CSV cell text (None: not a CSV cell).  A type named as
+# "module.Name" is looked up only when a value misses the exact types, and
+# only if its module is loaded: an instance cannot exist before that, so
+# encoding never imports `fractions` (only picard-genus emits a Fraction).
 _ENCODERS = (
     (type(None), lambda v: "null", lambda v: ""),
     (bool, ("false", "true").__getitem__, ("false", "true").__getitem__),
     (int, str, str),
     (float, _fmt_float, _fmt_float),
-    (Fraction, lambda v: str(v) if v.denominator == 1 else f'"{v}"', str),
+    ("fractions.Fraction", lambda v: str(v) if v.denominator == 1 else f'"{v}"', str),
     (complex, lambda v: '{"re": %s, "im": %s}' % (_fmt_float(v.real), _fmt_float(v.imag)),
      _flat_complex),
     (str, _json_str, str),
@@ -136,15 +141,25 @@ _ENCODERS = (
 )
 
 
+def _encoder_type(kind):
+    """The class of an `_ENCODERS` row; () (no class) for a class named by a
+    string whose module is not loaded."""
+    if not isinstance(kind, str):
+        return kind
+    module, _, name = kind.rpartition(".")
+    return getattr(sys.modules.get(module), name, ())
+
+
 def _encoder_column(column: int):
-    """One column of the table, looked up by exact type; an instance of a
-    subclass (np.float64) takes its first isinstance match in table order."""
+    """One column of the table, looked up by exact type; any other value (a
+    Fraction, an np.float64) takes its first isinstance match in table order."""
     def subclassed(v) -> str:
         for row in _ENCODERS:
-            if row[column] and isinstance(v, row[0]):
+            if row[column] and isinstance(v, _encoder_type(row[0])):
                 return row[column](v)
         raise TypeError(f"cannot serialize {type(v)}")
-    return {row[0]: row[column] for row in _ENCODERS if row[column]}, subclassed
+    return {row[0]: row[column] for row in _ENCODERS
+            if row[column] and not isinstance(row[0], str)}, subclassed
 
 
 _JSON_BY_TYPE, _json_subclassed = _encoder_column(1)
@@ -218,6 +233,8 @@ def _json_rows(rows, write) -> None:
 
 
 def _csv_rows(rows, write) -> None:
+    import csv  # here, so that a JSON table never loads it
+
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
@@ -248,9 +265,12 @@ def _csv_rows(rows, write) -> None:
 
 
 def _parse_complex(text: str) -> complex:
+    """`a`, `bi`, `a+bi` or `(a+bi)` as a complex number.  Only a trailing
+    imaginary unit becomes Python's `j`, so `inf` and `nan` parse, and the
+    handlers reject them as non-finite."""
     cleaned = text.strip().replace(" ", "")
     try:
-        return complex(cleaned.replace("i", "j"))
+        return complex(re.sub(r"i(\)?)$", r"j\1", cleaned))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
 
@@ -551,6 +571,10 @@ def run(argv=None) -> int:
         rows = args.handler(args)  # bad input raises here, before any byte is written
     except (EllcoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a float over- or underflow at an extreme scale
+        print(f"error: out of floating-point range ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return 2
     write_rows = _json_rows if getattr(args, "format", "json") == "json" else _csv_rows
     output = getattr(args, "output", None)

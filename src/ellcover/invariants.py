@@ -22,12 +22,17 @@ Enumeration is over type vectors gamma in N^4 with a prescribed sum of
 squares; `construct_types` realizes the constructive patterns that produce
 admissible types of arbitrarily high genus, and `family_params` maps the
 six explicit family constructions ("6.13".."6.18") to their (genus, degree).
+
+The records are NamedTuples where tuple semantics fit, and slotted classes
+(`_Slotted`) where a record must not equal a tuple (`TypeVector`) or
+iterates as less than its fields (`FamilyParams`); none needs `dataclasses`,
+which an integer CLI child would otherwise import for them alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional
@@ -65,15 +70,46 @@ def _integers(name: str, values, count: int,
     return ints
 
 
-@dataclass(frozen=True, slots=True)
-class TypeVector:
+class _Slotted:
+    """Base of the slotted records: immutable, equal only to a record of the
+    same class with equal fields (`__slots__`, in order), hashed by those
+    fields, and shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the checked constructor
+        return type(self), self._values()
+
+
+class TypeVector(_Slotted):
     """Intersection numbers with the four involution-side exceptional curves,
     indexed by half-period (0 is the origin)."""
 
-    gamma: Vec4
+    __slots__ = ("gamma",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", _integers("gamma", self.gamma, 4, 0))
+    def __init__(self, gamma):
+        object.__setattr__(self, "gamma", _integers("gamma", gamma, 4, 0))
 
     @classmethod
     def _trusted(cls, gamma: Vec4) -> TypeVector:
@@ -100,28 +136,22 @@ class TypeVector:
         return self.gamma[i]
 
 
-@dataclass(frozen=True)
-class CoverInvariants:
+class CoverInvariants(namedtuple("CoverInvariants", "n d g rho m gamma")):
     """Claimed invariants of a one-marked-point cover: degree n, osculating
     order d, arithmetic genus g, ramification index rho at the marked point,
     degree m of the map onto its surface image, and type gamma.
 
     The record stores claims; `check_kdv` verdicts them."""
 
-    n: int
-    d: int
-    g: int
-    rho: int
-    m: int
-    gamma: TypeVector
+    __slots__ = ()
 
-    def __post_init__(self):
-        fields = (self.n, self.d, self.g, self.rho, self.m)
-        n, d, g, rho, m = _integers("n, d, g, rho, m", fields, 5, (1, 1, 0, None, 1))
-        # frozen, so the checked ints go into __dict__ directly
-        self.__dict__.update(n=n, d=d, g=g, rho=rho, m=m)
-        if not isinstance(self.gamma, TypeVector):
-            object.__setattr__(self, "gamma", TypeVector(self.gamma))
+    def __new__(cls, n: int, d: int, g: int, rho: int, m: int, gamma) -> CoverInvariants:
+        fields = _integers("n, d, g, rho, m", (n, d, g, rho, m), 5, (1, 1, 0, None, 1))
+        if not isinstance(gamma, TypeVector):
+            gamma = TypeVector(gamma)
+        return tuple.__new__(cls, (*fields, gamma))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 class Placement(Enum):
@@ -424,14 +454,16 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratedType:
+class GeneratedType(NamedTuple):
     """A generated type, its degree and genus, and its rho = m = 1 verdicts."""
 
     gamma: TypeVector
     n: int
     g: int
-    verdicts: tuple[Verdict, ...] = field(repr=False)
+    verdicts: tuple[Verdict, ...]
+
+    def __repr__(self) -> str:  # the verdicts stay out of the repr
+        return f"GeneratedType(gamma={self.gamma!r}, n={self.n!r}, g={self.g!r})"
 
 
 def _epsilon_patterns(d: int, k: int) -> list[tuple[int, ...]]:
@@ -510,58 +542,59 @@ def construct_closed_forms(d: int, mu) -> tuple[int, int]:
 FAMILY_CASES = ("6.13", "6.14", "6.15", "6.16", "6.17", "6.18")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "case alpha at_half_period j0")):
     """One member of the six explicit families: the case label, a vector
     alpha in N^4, and placement data (whether the base point sits at a
     half-period for the Schrodinger/Toda cases; the distinguished index j0
     for case 6.17)."""
 
-    case: str
-    alpha: Vec4
-    at_half_period: bool = False
-    j0: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.case not in FAMILY_CASES:
-            raise InvalidInvariants(
-                f"case must be one of {FAMILY_CASES}, got {self.case!r}"
-            )
-        a = _integers("alpha", self.alpha, 4, 0)
-        object.__setattr__(self, "alpha", a)
-        if self.at_half_period and self.case not in ("6.13", "6.14"):
-            raise InvalidInvariants(f"at_half_period is for 6.13 and 6.14, not {self.case}")
-        if self.j0 is not None and self.case != "6.17":
-            raise InvalidInvariants(f"j0 applies only to case 6.17, not {self.case}")
+    def __new__(cls, case: str, alpha, at_half_period: bool = False,
+                j0: Optional[int] = None) -> FamilySpec:
+        if case not in FAMILY_CASES:
+            raise InvalidInvariants(f"case must be one of {FAMILY_CASES}, got {case!r}")
+        a = _integers("alpha", alpha, 4, 0)
+        if at_half_period and case not in ("6.13", "6.14"):
+            raise InvalidInvariants(f"at_half_period is for 6.13 and 6.14, not {case}")
+        if j0 is not None and case != "6.17":
+            raise InvalidInvariants(f"j0 applies only to case 6.17, not {case}")
         a1 = sum(a)
-        if self.case == "6.14":
+        if case == "6.14":
             if a == (0, 0, 0, 0):
                 raise InvalidInvariants("case 6.14 requires alpha != 0")
-            if a1 % 2 != bool(self.at_half_period):
+            if a1 % 2 != bool(at_half_period):
                 raise ParityViolation(
                     "case 6.14 needs a half-period base point exactly when the alpha sum is odd"
                 )
-        elif self.case == "6.15":
+        elif case == "6.15":
             if (a[2] + a[3]) % 2 != 1:
                 raise ParityViolation("case 6.15 requires alpha_2 + alpha_3 odd")
-        elif self.case == "6.16":
+        elif case == "6.16":
             if (a[0] + a[1]) % 2 != 0:
                 raise ParityViolation("case 6.16 requires alpha_0 + alpha_1 even")
-        elif self.case == "6.17":
-            if self.j0 not in (1, 2, 3):
-                raise InvalidInvariants(f"case 6.17 requires j0 in {{1, 2, 3}}, got {self.j0!r}")
-            object.__setattr__(self, "j0", _integers("j0", (self.j0,), 1)[0])
-            if flipped_indices(a[self.j0] + 1, a) != (self.j0,):
+        elif case == "6.17":
+            if j0 not in (1, 2, 3):
+                raise InvalidInvariants(f"case 6.17 requires j0 in {{1, 2, 3}}, got {j0!r}")
+            (j0,) = _integers("j0", (j0,), 1)
+            if flipped_indices(a[j0] + 1, a) != (j0,):
                 raise ParityViolation(
                     f"case 6.17 requires alpha_j0 + 1 = alpha_i (mod 2), got {a}"
                 )
+        return tuple.__new__(cls, (case, a, at_half_period, j0))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    g: int
-    n: int
-    verdicts: tuple[Verdict, ...]
+class FamilyParams(_Slotted):
+    """Genus and degree of a family member, with its bound's verdict; it
+    iterates as (g, n) only."""
+
+    __slots__ = ("g", "n", "verdicts")
+
+    def __init__(self, g: int, n: int, verdicts: tuple[Verdict, ...]):
+        for name, value in zip(self.__slots__, (g, n, verdicts)):
+            object.__setattr__(self, name, value)
 
     def __iter__(self):
         return iter((self.g, self.n))

@@ -180,11 +180,18 @@ def test_pole_proximity_is_numeric_error():
         ("verify-kdv", "--omega1", "3.141592653589793", "--omega2", "3.141592653589793i",
          "--x0", "nan"),
         ("legendre", "--omega1", "0.5", "--omega2", "0.5i", "--precision", "inf"),
+        ("legendre", "--omega1", "inf", "--omega2", "0.5i"),
+        ("legendre", "--omega1", "0.5", "--omega2", "0.5+infi"),
+        ("verify-kdv", "--omega1", "3.141592653589793", "--omega2", "3.141592653589793i",
+         "--lambda=-inf"),
+        ("verify-kdv", "--omega1", "3.141592653589793", "--omega2", "3.141592653589793i",
+         "--x0", "infinity"),
         *[("verify-kdv", "--omega1", "3.141592653589793", "--omega2", "3.141592653589793i",
            f"{flag}={value}")
           for flag in ("--residual-tol", "--monodromy-tol") for value in ("nan", "inf", "-1")],
     ],
-    ids=["lambda-nan", "x0-nan", "precision-inf",
+    ids=["lambda-nan", "x0-nan", "precision-inf", "omega1-inf", "omega2-imag-inf",
+         "lambda-neg-inf", "x0-infinity",
          *[f"{flag}-{value}" for flag in ("residual-tol", "monodromy-tol")
            for value in ("nan", "inf", "neg")]],
 )
@@ -193,6 +200,30 @@ def test_non_finite_input_is_usage_error(command):
     assert res.returncode == 2
     assert b"finite" in res.stderr
     assert res.stdout == b""
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0.5", 0.5), ("-3", -3), ("2.5i", 2.5j), ("0.1+0.9i", 0.1 + 0.9j),
+    ("(0.1+0.9i)", 0.1 + 0.9j), (" 1 - 2i ", 1 - 2j), ("i", 1j), ("-i", -1j),
+    ("-2.5e-3i", -2.5e-3j), ("1j", 1j), ("inf", complex("inf")), ("-infi", complex("-infj")),
+])
+def test_complex_spellings_keep_their_value(text, value):
+    # only a trailing imaginary unit is translated, so inf reaches the finiteness check
+    assert cli._parse_complex(text) == value
+
+
+@pytest.mark.parametrize("command", [
+    ("legendre", "--omega1", "1e-300", "--omega2", "1e-300i"),  # ZeroDivisionError
+    ("legendre", "--omega1", "1e-100", "--omega2", "1e-100i"),  # OverflowError
+    ("legendre", "--omega1", "1e155", "--omega2", "1e155i"),  # OverflowError
+    ("verify-kdv", "--omega1", "3e120", "--omega2", "3.6e120i"),  # OverflowError
+], ids=["legendre-1e-300", "legendre-1e-100", "legendre-1e155", "verify-kdv-3e120"])
+def test_float_range_error_is_numeric_error(command):
+    res = run_cli(*command)
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"error: out of floating-point range (")
+    assert res.stderr.count(b"\n") == 1 and b"Traceback" not in res.stderr
 
 
 def test_csv_format():
@@ -444,6 +475,51 @@ def test_only_picard_genus_imports_picard():
     assert [argv[0] for argv in INTEGER_COMMANDS][-1] == "picard-genus"
     assert json.loads(res.stdout) == [[argv[0], 0, argv[0] == "picard-genus"]
                                       for argv in INTEGER_COMMANDS]
+
+
+def _modules_added(*argv) -> set:
+    """The modules a fresh child has after `cli.run(argv)` (table to the null
+    device) that a bare interpreter started with the same environment lacks;
+    with no argv, after `import ellcover.picard`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    body = ("from ellcover import cli; assert cli.run([*sys.argv[1:], '--output', os.devnull]) == 0"
+            if argv else "import ellcover.picard")
+
+    def modules(code, *args):
+        res = subprocess.run([sys.executable, "-c", f"import os, sys\n{code}\n"
+                              "print(*sorted(sys.modules))", *args],
+                             capture_output=True, env=env, check=True, text=True)
+        return set(res.stdout.split())
+
+    return modules(body, *argv) - modules("")
+
+
+# what an integer child need not load: records without dataclasses (and so no
+# inspect), csv only for CSV, fractions only with picard
+NOT_ON_THE_INTEGER_PATH = {"dataclasses", "inspect", "csv", "fractions"}
+
+
+def test_integer_subcommands_import_only_what_they_use():
+    for argv in INTEGER_COMMANDS:
+        added = _modules_added(*argv) & NOT_ON_THE_INTEGER_PATH
+        if argv[0] == "picard-genus":
+            # picard brings fractions (and keeps its dataclasses); cli adds none of its own
+            assert "fractions" in added and added <= _modules_added(), added
+        else:
+            assert added == set(), (argv[0], added)
+    csv_added = _modules_added(*INTEGER_COMMANDS[3], "--format", "csv")
+    assert csv_added & NOT_ON_THE_INTEGER_PATH == {"csv"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fraction_in_a_fresh_child_matches_in_process(fmt, capsys):
+    # tilde genus 1/2: JSON quotes it as "1/2", in a child where cli never imported fractions
+    argv = ["picard-genus", "--class", "1,1,1,1,0,0,0,0,0,0", "--format", fmt]
+    res = run_cli(*argv)
+    assert cli.run(argv) == res.returncode == 0
+    assert capsys.readouterr().out.encode() == res.stdout
+    assert (b'"tilde_genus": "1/2"' if fmt == "json" else b",1/2,") in res.stdout
 
 
 def test_numeric_names_still_resolve():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import product
 
 import numpy as np
@@ -9,7 +11,9 @@ from ellcover.errors import InvalidInvariants, ParityViolation
 from ellcover.invariants import (
     CoverInvariants,
     EnumeratedType,
+    FamilyParams,
     FamilySpec,
+    GeneratedType,
     Placement,
     TypeVector,
     Verdict,
@@ -165,6 +169,94 @@ def test_enumerated_type_public_shape():
     assert t != EnumeratedType(t.gamma, 3, t.verdicts)
     # the verdicts stay out of the repr
     assert repr(t) == "EnumeratedType(gamma=TypeVector(gamma=(2, 1, 1, 1)), g=2)"
+
+
+def _assert_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+
+
+def test_type_vector_public_shape():
+    t = TypeVector((2, 1, 1, 1))
+    assert repr(t) == "TypeVector(gamma=(2, 1, 1, 1))"
+    assert t == TypeVector([2.0, 1, 1, True]) and hash(t) == hash(TypeVector((2, 1, 1, 1)))
+    assert t != TypeVector((1, 2, 1, 1))
+    assert t != (2, 1, 1, 1) and (2, 1, 1, 1) != t  # not a tuple
+    assert (list(t), t[0], t[-1], t.gamma) == ([2, 1, 1, 1], 2, 1, (2, 1, 1, 1))
+    _assert_immutable(t, "gamma")
+    with pytest.raises(AttributeError):
+        del t.gamma
+    assert copy.deepcopy(t) == pickle.loads(pickle.dumps(t)) == t
+
+
+def test_cover_invariants_public_shape():
+    c = CoverInvariants(3, 1, 2, 1, 1, (2, 1, 1, 1))
+    assert CoverInvariants._fields == ("n", "d", "g", "rho", "m", "gamma")
+    assert repr(c) == ("CoverInvariants(n=3, d=1, g=2, rho=1, m=1, "
+                       "gamma=TypeVector(gamma=(2, 1, 1, 1)))")
+    same = CoverInvariants(n=3.0, d=1, g=2, rho=1, m=1, gamma=TypeVector((2, 1, 1, 1)))
+    assert c == same and hash(c) == hash(same) and c != c._replace(g=1)
+    assert tuple(c) == (3, 1, 2, 1, 1, TypeVector((2, 1, 1, 1)))  # a NamedTuple
+    _assert_immutable(c, "n")
+    with pytest.raises(InvalidInvariants):
+        c._replace(m=0)  # _replace checks like the constructor
+    assert pickle.loads(pickle.dumps(c)) == c
+
+
+def test_generated_type_public_shape():
+    t = construct_types(2, 0, (0, 1, 1, 1))[0]
+    assert GeneratedType._fields == ("gamma", "n", "g", "verdicts")
+    # the verdicts stay out of the repr, as in EnumeratedType
+    assert repr(t) == "GeneratedType(gamma=TypeVector(gamma=(0, 1, 1, 1)), n=1, g=1)"
+    same = GeneratedType(TypeVector((0, 1, 1, 1)), 1, 1, t.verdicts)
+    assert t == same and hash(t) == hash(same)
+    assert t != GeneratedType(t.gamma, t.n, t.g, t.verdicts[1:])
+    _assert_immutable(t, "verdicts")
+
+
+def test_family_spec_public_shape():
+    s = FamilySpec("6.17", (1, 0, 1, 1), j0=1.0)
+    assert FamilySpec._fields == ("case", "alpha", "at_half_period", "j0")
+    assert repr(s) == "FamilySpec(case='6.17', alpha=(1, 0, 1, 1), at_half_period=False, j0=1)"
+    same = FamilySpec("6.17", [1, 0, 1, 1], False, 1)
+    assert s == same and hash(s) == hash(same) and s != FamilySpec("6.17", (0, 1, 0, 0), j0=1)
+    _assert_immutable(s, "j0")
+    with pytest.raises(InvalidInvariants):
+        s._replace(j0=None)
+    assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_family_params_public_shape():
+    p = family_params(FamilySpec("6.17", (1, 0, 1, 1), j0=1))
+    assert tuple(p) == (p.g, p.n) == (3, 4)  # iterates as (g, n) only
+    assert p != (3, 4)
+    assert repr(p) == ("FamilyParams(g=3, n=4, verdicts=(Verdict(clause='6.12(1) genus square "
+                       "bound', ok=True, lhs=9, rhs=12, informational=False),))")
+    same = FamilyParams(3, 4, p.verdicts)
+    assert p == same and hash(p) == hash(same) and p != FamilyParams(3, 4, ())
+    _assert_immutable(p, "g")
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: TypeVector((1, -1, 0, 0)), "gamma: need integers >= 0, got (1, -1, 0, 0)"),
+    (lambda: TypeVector((1.5, 2, 2, 2)), "gamma: expected 4 integers, got (1.5, 2, 2, 2)"),
+    (lambda: TypeVector((1, 0, 0)), "gamma: expected 4 integers, got (1, 0, 0)"),
+    (lambda: CoverInvariants(3.7, 1, 2, 1, 1, (2, 1, 1, 1)),
+     "n, d, g, rho, m: expected 5 integers, got (3.7, 1, 2, 1, 1)"),
+    (lambda: CoverInvariants(3, 1, -1, 1, 1, (2, 1, 1, 1)), "g: need an integer >= 0, got -1"),
+    (lambda: CoverInvariants(0, 1, 2, 1, 1, (2, 1.5, 1, 1)), "n: need an integer >= 1, got 0"),
+    (lambda: CoverInvariants(3, 1, 2, 1, 1, (2, 1.5, 1, 1)),
+     "gamma: expected 4 integers, got (2, 1.5, 1, 1)"),
+    (lambda: FamilySpec("6.13", (0, 0, 0, -1)), "alpha: need integers >= 0, got (0, 0, 0, -1)"),
+    (lambda: FamilySpec("6.17", (1, 0, 1, 1), j0=1.5),
+     "case 6.17 requires j0 in {1, 2, 3}, got 1.5"),
+], ids=["type-neg", "type-float", "type-short", "cover-float", "cover-g", "cover-n-first",
+        "cover-gamma", "spec-alpha", "spec-j0"])
+def test_record_error_messages(call, message):
+    with pytest.raises(InvalidInvariants) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_kdv_verdict_order_is_stable():
