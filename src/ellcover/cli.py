@@ -22,12 +22,12 @@ is rolled back.  Data goes to stdout, diagnostics to stderr.  There are no
 environment knobs.
 
 An integer subcommand's child loads argparse and the package's integer
-layer (`invariants`, whose records need no `dataclasses`), never numpy;
-`csv` only for `--format csv`, and `fractions` only through `picard`, which
-only `picard-genus` imports.  The elliptic and kdv names used by `legendre`
-and `verify-kdv` are bound into this module on first use (or on first
-attribute access from outside).  The argument parser is built once per
-process.
+layer, never numpy or `dataclasses`: the records of `invariants` and of
+`picard`, which only `picard-genus` imports, share one slotted base.  It
+loads `csv` only for `--format csv`, and `fractions` only through `picard`.
+The elliptic and kdv names used by `legendre` and `verify-kdv` are bound
+into this module on first use (or on first attribute access from outside).
+The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -558,6 +558,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monodromy-tol", type=_tolerance, default=1e-8)
     p.set_defaults(handler=_cmd_verify_kdv)
 
+    # "-" then a digit or ".digit" starts a value (-5e-1, -0.5+0.1i): no flag starts so
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

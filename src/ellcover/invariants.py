@@ -24,9 +24,10 @@ admissible types of arbitrarily high genus, and `family_params` maps the
 six explicit family constructions ("6.13".."6.18") to their (genus, degree).
 
 The records are NamedTuples where tuple semantics fit, and slotted classes
-(`_Slotted`) where a record must not equal a tuple (`TypeVector`) or
-iterates as less than its fields (`FamilyParams`); none needs `dataclasses`,
-which an integer CLI child would otherwise import for them alone.
+(`_Slotted`, also the base of `picard`'s records) where a record must not
+equal a tuple (`TypeVector`) or iterates as less than its fields
+(`FamilyParams`); none needs `dataclasses`, which an integer CLI child
+would otherwise import for them alone.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class _Slotted:
 
     __slots__ = ()
 
+    def _store(self, *values) -> None:
+        """Fill the slots, in order, with the values a subclass's __init__ checked."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
@@ -109,7 +115,7 @@ class TypeVector(_Slotted):
     __slots__ = ("gamma",)
 
     def __init__(self, gamma):
-        object.__setattr__(self, "gamma", _integers("gamma", gamma, 4, 0))
+        self._store(_integers("gamma", gamma, 4, 0))
 
     @classmethod
     def _trusted(cls, gamma: Vec4) -> TypeVector:
@@ -488,10 +494,8 @@ def construct_types(d: int, k: int, mu) -> list[GeneratedType]:
     those that pass the full rho = m = 1 clause catalog are kept with that
     evaluation as their verdicts.
     """
-    d, k = _integers("d, k", (d, k), 2)
+    d, k = _integers("d, k", (d, k), 2, (2, None))
     m = _integers("mu", mu, 4, 0)
-    if d < 2:
-        raise InvalidInvariants(f"need osculating order d >= 2, got {d}")
     if k not in range(4):
         raise InvalidInvariants(f"distinguished index must be 0..3, got {k}")
     if flipped_indices(m[0] + 1, m) != (0,):
@@ -593,8 +597,7 @@ class FamilyParams(_Slotted):
     __slots__ = ("g", "n", "verdicts")
 
     def __init__(self, g: int, n: int, verdicts: tuple[Verdict, ...]):
-        for name, value in zip(self.__slots__, (g, n, verdicts)):
-            object.__setattr__(self, name, value)
+        self._store(g, n, verdicts)
 
     def __iter__(self):
         return iter((self.g, self.n))

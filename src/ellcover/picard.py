@@ -18,9 +18,10 @@ form is fixed by
 
 Coefficients are integers (the one constructor rejects others) stored
 with their signs as written, so the class of a degree-n cover carries
-negative s and r entries.  Genus computations are exact rationals;
-negative or non-integral outputs are legal values that flag
-inadmissibility upstream.
+negative s and r entries.  `DivisorClass` and `TauInvariantClass` are
+`invariants._Slotted` records, like `TypeVector`.  Genus computations are
+exact rationals; negative or non-integral outputs are legal values that
+flag inadmissibility upstream.
 
 The quotient by the involution is a rational surface whose canonical class
 pulls back to e*(-2*C_o): an invariant class D descends to one of square
@@ -31,27 +32,20 @@ classes (`nls_sg_class`) take their placement model and parity rule from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInvariants, ParityViolation
-from .invariants import (Placement, TypeVector, Vec4, _integers, flipped_indices,
+from .invariants import (Placement, TypeVector, Vec4, _integers, _Slotted, flipped_indices,
                          half_period_indices)
 
 
-@dataclass(frozen=True, init=False)
-class DivisorClass:
+class DivisorClass(_Slotted):
     """Numerical divisor class in the basis (e*(C_o), e*(F), s_0..3, r_0..3)."""
 
-    a: int
-    b: int
-    s: Vec4
-    r: Vec4
+    __slots__ = ("a", "b", "s", "r")
 
     def __init__(self, a: int, b: int, s: Vec4 = (0, 0, 0, 0), r: Vec4 = (0, 0, 0, 0)):
-        a, b = _integers("a, b", (a, b), 2)
-        # the one checked constructor; frozen, so it fills __dict__ directly
-        self.__dict__.update(a=a, b=b, s=_integers("s", s, 4), r=_integers("r", r, 4))
+        self._store(*_integers("a, b", (a, b), 2), _integers("s", s, 4), _integers("r", r, 4))
 
     def dot(self, other: "DivisorClass") -> int:
         s, r, t, u = self.s, self.r, other.s, other.r
@@ -68,9 +62,7 @@ class DivisorClass:
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "DivisorClass":
-        c = tuple(coeffs)
-        if len(c) != 10:
-            raise InvalidInvariants(f"expected 10 integers, got {len(c)}")
+        c = _integers("coefficients", coeffs, 10)
         return cls(c[0], c[1], c[2:6], c[6:])
 
     def divided_by(self, m: int) -> "DivisorClass":
@@ -149,7 +141,7 @@ def cover_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
     if rho % 2 == 0 or rho > 2 * d - 1:
         raise InvalidInvariants(f"ramification rho={rho} must be odd, 1 <= rho <= {2 * d - 1}")
     gamma = _integers("gamma", gamma, 4, 0)
-    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), tuple(-x for x in gamma))
+    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), tuple([-x for x in gamma]))
 
 
 def _descended(d: DivisorClass) -> tuple[int, int]:
@@ -160,8 +152,7 @@ def _descended(d: DivisorClass) -> tuple[int, int]:
     return square // 2, -d.b
 
 
-@dataclass(frozen=True)
-class TauInvariantClass:
+class TauInvariantClass(_Slotted):
     """A divisor class asserted to be the pullback of a class downstairs.
 
     Pullback along the degree-2 quotient doubles both the self-intersection
@@ -169,10 +160,11 @@ class TauInvariantClass:
     evenness: the pairing D.e*(-2C_o) is -2b, always even.
     """
 
-    divisor: DivisorClass
+    __slots__ = ("divisor",)
 
-    def __post_init__(self):
-        _descended(self.divisor)
+    def __init__(self, divisor: DivisorClass):
+        _descended(divisor)
+        self._store(divisor)
 
     @property
     def quotient_self_intersection(self) -> int:

@@ -90,8 +90,10 @@ def test_check_cover_two_point_degree_and_genus_floors_are_usage_errors(args):
      b"gamma"),
     (("enumerate-types", "--n", "0", "--d", "1"), b"n, d"),
     (("construct-68", "--d", "2", "--k", "0", "--mu", "0,1,1,-1"), b"mu"),
+    (("construct-68", "--d", "1", "--k", "0", "--mu", "0,1,1,1"), b"d"),
     (("family", "--theorem", "6.13", "--alpha", "0,0,0,-1"), b"alpha"),
-], ids=["nls-n-g", "sg-n", "kdv-gamma", "enumerate-n-d", "construct-mu", "family-alpha"])
+], ids=["nls-n-g", "sg-n", "kdv-gamma", "enumerate-n-d", "construct-mu", "construct-d",
+        "family-alpha"])
 def test_integer_floor_errors_name_their_input(args, name):
     res = run_cli(*args)
     assert res.returncode == 2 and res.stdout == b""
@@ -210,6 +212,26 @@ def test_non_finite_input_is_usage_error(command):
 def test_complex_spellings_keep_their_value(text, value):
     # only a trailing imaginary unit is translated, so inf reaches the finiteness check
     assert cli._parse_complex(text) == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["legendre", "--omega1", "-5e-1", "--omega2", "-0.5i"],
+    ["legendre", "--omega1", "-0.5+0.1i", "--omega2", "-0.5i"],
+    ["legendre", "--omega1", "-.5", "--omega2", "-.5i"],
+    ["verify-kdv", "--omega1", "3.14", "--omega2", "3.14i", "--lambda", "-2e0", "--x0", "-1e-3",
+     "--grid", "40,8"],
+], ids=["exponent", "complex", "leading-dot", "verify-kdv"])
+def test_a_value_may_start_with_minus_and_a_digit(argv, capsys):
+    # argparse alone takes only -1 and -1.5 as values; "--flag=value" takes any
+    assert cli.run(argv) == 0
+    spaced = capsys.readouterr()
+    assert cli.run([argv[0], *(f"{f}={v}" for f, v in zip(argv[1::2], argv[2::2]))]) == 0
+    assert capsys.readouterr() == spaced
+
+
+def test_a_flag_like_value_is_still_a_usage_error(capsys):
+    assert cli.run(["legendre", "--omega1", "-x", "--omega2", "0.5i"]) == 2
+    assert "argument --omega1: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [
@@ -503,11 +525,9 @@ NOT_ON_THE_INTEGER_PATH = {"dataclasses", "inspect", "csv", "fractions"}
 def test_integer_subcommands_import_only_what_they_use():
     for argv in INTEGER_COMMANDS:
         added = _modules_added(*argv) & NOT_ON_THE_INTEGER_PATH
-        if argv[0] == "picard-genus":
-            # picard brings fractions (and keeps its dataclasses); cli adds none of its own
-            assert "fractions" in added and added <= _modules_added(), added
-        else:
-            assert added == set(), (argv[0], added)
+        # picard's records are slotted too: it brings only fractions, for its exact genus
+        assert added == ({"fractions"} if argv[0] == "picard-genus" else set()), (argv[0], added)
+    assert _modules_added() & NOT_ON_THE_INTEGER_PATH == {"fractions"}
     csv_added = _modules_added(*INTEGER_COMMANDS[3], "--format", "csv")
     assert csv_added & NOT_ON_THE_INTEGER_PATH == {"csv"}
 

@@ -627,6 +627,7 @@ def test_family_outputs_always_satisfy_their_restriction(alpha, salt):
     (lambda: enumerate_types(0, 1), "n, d"),
     (lambda: construct_types(2.5, 0, (0, 1, 1, 1)), "d, k"),
     (lambda: construct_types(2, 0, (0, 1, 1, -1)), "mu"),
+    (lambda: construct_types(1, 0, (0, 1, 1, 1)), "d"),
     (lambda: construct_closed_forms(0, (0, 1, 1, 1)), "d"),
     (lambda: construct_closed_forms(2, (0, 1, 1, -1)), "mu"),
     (lambda: FamilySpec("6.13", (0, 0, 0, -1)), "alpha"),
@@ -634,8 +635,8 @@ def test_family_outputs_always_satisfy_their_restriction(alpha, salt):
     (lambda: evaluate_nls_toda(0, 2, (0, 0, 0, 0), Placement.DISTINCT_GENERIC), "n"),
     (lambda: evaluate_sine_gordon(4, 2.5, (2, 2, 1, 1), Placement.DISTINCT_HALF_PERIODS), "n, g"),
 ], ids=["type-neg", "cover-gamma-half", "cover-n-half", "enum-n-0", "construct-d-half",
-        "construct-mu-neg", "closed-d-0", "closed-mu-neg", "family-alpha-neg", "nls-n-g",
-        "nls-n-0", "sg-g-half"])
+        "construct-mu-neg", "construct-d-1", "closed-d-0", "closed-mu-neg", "family-alpha-neg",
+        "nls-n-g", "nls-n-0", "sg-g-half"])
 def test_integer_errors_name_their_input(call, name):
     with pytest.raises(InvalidInvariants) as raised:
         call()

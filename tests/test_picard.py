@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -297,6 +299,38 @@ def test_bad_input_fails_loudly():
     assert repr(s_class(2)) == "DivisorClass(a=0, b=0, s=(0, 0, 1, 0), r=(0, 0, 0, 0))"
 
 
+def test_divisor_class_public_shape():
+    d = DivisorClass(0, 0, (0, 0, 1, 0))
+    assert repr(d) == "DivisorClass(a=0, b=0, s=(0, 0, 1, 0), r=(0, 0, 0, 0))"
+    same = DivisorClass(0.0, False, [0, 0, True, 0])
+    assert d == same and hash(d) == hash(same) == hash((0, 0, (0, 0, 1, 0), (0, 0, 0, 0)))
+    assert d != r_class(2) and d != d.coefficients() and d.coefficients() != d
+    for field in ("a", "s"):
+        with pytest.raises(AttributeError):
+            setattr(d, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(d, field)
+    assert not hasattr(d, "__dict__")
+    assert copy.deepcopy(d) == pickle.loads(pickle.dumps(d)) == d
+
+
+def test_tau_invariant_class_public_shape():
+    d = cover_class(5, 2, 3, (0, 3, 1, 1))
+    t = TauInvariantClass(d)
+    assert repr(t) == f"TauInvariantClass(divisor={d!r})"
+    same = TauInvariantClass(DivisorClass.from_coefficients(d.coefficients()))
+    assert t == same and hash(t) == hash(same) == hash((d,))
+    assert t != d and d != t and t != TauInvariantClass(2 * d)
+    with pytest.raises(AttributeError):
+        t.divisor = 2 * d
+    with pytest.raises(AttributeError):
+        del t.divisor
+    assert not hasattr(t, "__dict__")
+    assert copy.deepcopy(t) == pickle.loads(pickle.dumps(t)) == t
+    with pytest.raises(ParityViolation):
+        TauInvariantClass(s_class(0))  # square -1
+
+
 @pytest.mark.parametrize("alpha,index", [((0, 0, 1, 0), 2), ((1, 1, 1, 0), 3)])
 def test_parity_exceptional_index_at_the_last_two_indices(alpha, index):
     assert parity_exceptional_index(alpha) == index
@@ -326,9 +360,10 @@ def test_tilde_genus_of_a_tau_invariant_class():
     (lambda d: DivisorClass(0, 0, (0, 0, 0)), "s"),
     (lambda d: DivisorClass(0, 0, r=(0.5, 0, 0, 0)), "r"),
     (lambda d: 2.5 * d, "k"),
+    (lambda d: DivisorClass.from_coefficients(range(9)), "coefficients"),
 ], ids=["divided-0", "cover-d-0", "cover-gamma-neg", "nls-sg-n-0", "nls-sg-gamma-neg",
         "exceptional-neg", "parity-index-half", "class-a-half", "class-s-short",
-        "class-r-half", "times-half"])
+        "class-r-half", "times-half", "from-coefficients-short"])
 def test_integer_errors_name_their_input(call, name):
     with pytest.raises(InvalidInvariants) as raised:
         call(cover_class(3, 1, 1, (2, 1, 1, 1)))

@@ -1,13 +1,15 @@
-"""The README "Rule catalog" table lists exactly the clauses the
-evaluators emit, over every branch: kdv with rho = m = 1 and otherwise,
-both two-point families by placement and parity of n, and all six family
-maps.  The Picard lattice is an independent oracle for the catalog's type
-square bounds and for the genus of enumerated types."""
+"""The README "Rule catalog" table lists exactly the clauses the program
+emits, over every branch: kdv with rho = m = 1 and otherwise, both
+two-point families by placement and parity of n, all six family maps, and
+the handlers of legendre, picard-genus and verify-kdv.  The Picard lattice
+is an independent oracle for the catalog's type square bounds and for the
+genus of enumerated types."""
 
 import os
 import re
 from itertools import combinations_with_replacement, product
 
+from ellcover import cli
 from ellcover.errors import InvalidInvariants
 from ellcover.invariants import (
     FAMILY_CASES,
@@ -50,6 +52,12 @@ def _emitted_clauses() -> set[str]:
             except InvalidInvariants:
                 continue
             verdicts += family_params(spec).verdicts
+    # the clauses only a CLI handler emits, from one in-process run of each
+    for argv in (["legendre", "--omega1", "0.5", "--omega2", "0.5i"],
+                 ["picard-genus", "--class", "3,1,-1,0,0,0,-2,-1,-1,-1"],
+                 ["verify-kdv", "--omega1", "3.14", "--omega2", "3.14i", "--grid", "40,8"]):
+        args = cli._build_parser().parse_args(argv)
+        verdicts += [v for row in args.handler(args) for v in row["verdicts"]]
     return {v.clause for v in verdicts}
 
 
