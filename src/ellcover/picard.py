@@ -16,9 +16,12 @@ form is fixed by
     s_i^2 = r_i^2 = -1,        all exceptional classes mutually orthogonal
                                and orthogonal to the pullbacks.
 
-Coefficients are integers (the one constructor rejects others) stored
-with their signs as written, so the class of a degree-n cover carries
-negative s and r entries.  `DivisorClass` and `TauInvariantClass` are
+Coefficients are integers stored with their signs as written, so the
+class of a degree-n cover carries negative s and r entries.  Public
+entries check, derived classes are built from checked ints: the public
+constructors reject a non-integer naming their input, and a cover class,
+a sum or a multiple is built by `DivisorClass._trusted` from ints that
+were checked once.  `DivisorClass` and `TauInvariantClass` are
 `invariants._Slotted` records, like `TypeVector`.  Genus computations are
 exact rationals; negative or non-integral outputs are legal values that
 flag inadmissibility upstream.
@@ -35,8 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInvariants, ParityViolation
-from .invariants import (Placement, TypeVector, Vec4, _integers, _Slotted, flipped_indices,
-                         half_period_indices)
+from .invariants import Placement, Vec4, _integers, _Slotted, flipped_indices, half_period_indices
 
 
 class DivisorClass(_Slotted):
@@ -46,6 +48,16 @@ class DivisorClass(_Slotted):
 
     def __init__(self, a: int, b: int, s: Vec4 = (0, 0, 0, 0), r: Vec4 = (0, 0, 0, 0)):
         self._store(*_integers("a, b", (a, b), 2), _integers("s", s, 4), _integers("r", r, 4))
+
+    @classmethod
+    def _trusted(cls, a: int, b: int, s: Vec4, r: Vec4) -> DivisorClass:
+        """A class of ints, s and r tuples, that the caller has already checked."""
+        self = object.__new__(cls)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_s(self, s)
+        _set_r(self, r)
+        return self
 
     def dot(self, other: "DivisorClass") -> int:
         s, r, t, u = self.s, self.r, other.s, other.r
@@ -63,28 +75,40 @@ class DivisorClass(_Slotted):
     @classmethod
     def from_coefficients(cls, coeffs) -> "DivisorClass":
         c = _integers("coefficients", coeffs, 10)
-        return cls(c[0], c[1], c[2:6], c[6:])
+        return cls._trusted(c[0], c[1], c[2:6], c[6:])
 
     def divided_by(self, m: int) -> "DivisorClass":
         """Divide all coefficients by an integer m >= 1 that divides every one."""
         (m,) = _integers("m", (m,), 1, 1)
         if any(c % m for c in self.coefficients()):
             raise InvalidInvariants(f"class is not divisible by {m}")
-        return DivisorClass.from_coefficients(c // m for c in self.coefficients())
+        return _of_ints([c // m for c in self.coefficients()])
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        pairs = zip(self.coefficients(), other.coefficients())
-        return DivisorClass.from_coefficients(x + y for x, y in pairs)
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
+        return _of_ints([x + y for x, y in zip(self.coefficients(), other.coefficients())])
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-1) * other
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
+        return _of_ints([x - y for x, y in zip(self.coefficients(), other.coefficients())])
 
     def __neg__(self) -> "DivisorClass":
-        return (-1) * self
+        return _of_ints([-c for c in self.coefficients()])
 
     def __rmul__(self, k: int) -> "DivisorClass":
         (k,) = _integers("k", (k,), 1)
-        return DivisorClass.from_coefficients(k * c for c in self.coefficients())
+        return _of_ints([k * c for c in self.coefficients()])
+
+
+# the slots' own setters, about 75 ns a field cheaper than object.__setattr__
+_set_a, _set_b, _set_s, _set_r = [DivisorClass.__dict__[f].__set__ for f in DivisorClass.__slots__]
+
+
+def _of_ints(c: list[int]) -> DivisorClass:
+    """The class of ten ints in `coefficients()` order, derived from checked ones."""
+    return DivisorClass._trusted(c[0], c[1], tuple(c[2:6]), tuple(c[6:]))
 
 
 def section_class() -> DivisorClass:
@@ -128,7 +152,8 @@ def canonical_class() -> DivisorClass:
 
 def adjunction_genus(d: DivisorClass) -> Fraction:
     """Arithmetic genus 1 + (D^2 + D.K)/2 as an exact rational."""
-    return Fraction(2 + d.self_intersection + d.dot(_CANONICAL), 2)
+    # D.K = D.dot(_CANONICAL) in closed form: -2b - sum(s) - sum(r)
+    return Fraction(2 + d.self_intersection - 2 * d.b - sum(d.s) - sum(d.r), 2)
 
 
 def cover_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
@@ -140,8 +165,8 @@ def cover_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
     n, d, rho = _integers("n, d, rho", (n, d, rho), 3, 1)
     if rho % 2 == 0 or rho > 2 * d - 1:
         raise InvalidInvariants(f"ramification rho={rho} must be odd, 1 <= rho <= {2 * d - 1}")
-    gamma = _integers("gamma", gamma, 4, 0)
-    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), tuple([-x for x in gamma]))
+    g0, g1, g2, g3 = _integers("gamma", gamma, 4, 0)
+    return DivisorClass._trusted(n, 2 * d - 1, (-rho, 0, 0, 0), (-g0, -g1, -g2, -g3))
 
 
 def _descended(d: DivisorClass) -> tuple[int, int]:
@@ -163,6 +188,8 @@ class TauInvariantClass(_Slotted):
     __slots__ = ("divisor",)
 
     def __init__(self, divisor: DivisorClass):
+        if not isinstance(divisor, DivisorClass):
+            raise InvalidInvariants(f"divisor: expected a DivisorClass, got {divisor!r}")
         _descended(divisor)
         self._store(divisor)
 
@@ -204,18 +231,22 @@ def nls_sg_class(n: int, placement: Placement, gamma, indices=()) -> DivisorClas
     """
     idx = half_period_indices(placement, indices)
     (n,) = _integers("n", (n,), 1, 1)
-    g = TypeVector(gamma).gamma
+    g = _integers("gamma", gamma, 4, 0)
     want = idx if placement is Placement.DISTINCT_HALF_PERIODS else ()
     if flipped_indices(n, g) != want:
         raise ParityViolation(f"type {g} at n = {n} needs gamma_i != n (mod 2) exactly at {want}")
     # one shared half-period carries s_{i0} twice, two distinct ones once each
     s = tuple(-2 // len(idx) if i in idx else 0 for i in range(4))
-    return DivisorClass(n, 2, s, tuple(-x for x in g))
+    return DivisorClass._trusted(n, 2, s, tuple([-x for x in g]))
 
 
 def parity_exceptional_index(alpha) -> int:
     """Index whose parity differs from the other three; ParityViolation if absent."""
-    a = _integers("alpha", alpha, 4)
+    return _exceptional_index(_integers("alpha", alpha, 4))
+
+
+def _exceptional_index(a: tuple[int, ...]) -> int:
+    """`parity_exceptional_index` of four checked ints."""
     for flipped in (flipped_indices(0, a), flipped_indices(1, a)):
         if len(flipped) == 1:
             return flipped[0]
@@ -233,8 +264,8 @@ def exceptional_class(alpha) -> DivisorClass:
     sq = sum(x * x for x in a)
     if sq % 2 == 0:
         raise ParityViolation(f"sum of squares {sq} must be odd")
-    s = tuple(-x for x in _unit4(parity_exceptional_index(a)))
-    return DivisorClass((sq - 1) // 2, 1, s, tuple(-x for x in a))
+    s = tuple([-x for x in _unit4(_exceptional_index(a))])
+    return DivisorClass._trusted((sq - 1) // 2, 1, s, tuple([-x for x in a]))
 
 
 def is_exceptional_first_kind(d: DivisorClass) -> bool:

@@ -1,13 +1,15 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ellcover import picard
 from ellcover.errors import InvalidInvariants, ParityViolation
-from ellcover.invariants import Placement
+from ellcover.invariants import Placement, _integers
 from ellcover.picard import (
     DivisorClass,
     TauInvariantClass,
@@ -273,6 +275,93 @@ def test_class_arithmetic():
     assert (-d).coefficients() == (-1, -2, 0, 1, 0, 0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("other", [1, 0, (1, 2), None])
+def test_class_arithmetic_with_a_non_class_is_a_type_error(other):
+    d = section_class()
+    for combine in (lambda: d + other, lambda: other + d, lambda: d - other,
+                    lambda: other - d, lambda: d * 2):
+        with pytest.raises(TypeError):
+            combine()
+
+
+@given(classes)
+def test_adjunction_genus_pairs_with_the_canonical_class(d):
+    assert adjunction_genus(d) == Fraction(2 + d.self_intersection + d.dot(canonical_class()), 2)
+
+
+# integers as callers pass them: each kind converts an int, bool only 0 and 1
+KINDS = (int, np.int64, np.int32, float, bool)
+
+
+def _as(kind, values):
+    return [kind(x) if kind is not bool or x in (0, 1) else x for x in values]
+
+
+def _matches_checked(c, coeffs):
+    """c equals the checked DivisorClass of coeffs in every observable way."""
+    checked = DivisorClass(coeffs[0], coeffs[1], coeffs[2:6], coeffs[6:])
+    assert c == checked and hash(c) == hash(checked) and repr(c) == repr(checked)
+    assert pickle.loads(pickle.dumps(c)) == c and copy.deepcopy(c) == c
+    assert type(c.s) is tuple and type(c.r) is tuple
+    assert all(type(x) is int for x in c.coefficients())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_derived_classes_match_checked_ones(kind):
+    for n, d, rho, gamma in product((1, 2, 5), (1, 2), (1, 3), ((0, 0, 0, 0), (2, 1, 0, 3))):
+        if rho <= 2 * d - 1:
+            n_, d_, rho_, *gamma_ = _as(kind, (n, d, rho, *gamma))
+            _matches_checked(cover_class(n_, d_, rho_, gamma_),
+                             (n, 2 * d - 1, -rho, 0, 0, 0, *(-x for x in gamma)))
+    for n, placement, gamma, indices, s in (
+        (4, Placement.DISTINCT_GENERIC, (2, 2, 0, 0), (), (0, 0, 0, 0)),
+        (4, Placement.SAME_PROJECTION, (2, 0, 2, 2), (1,), (0, -2, 0, 0)),
+        (3, Placement.DISTINCT_HALF_PERIODS, (1, 0, 2, 1), (2, 1), (0, -1, -1, 0)),
+    ):
+        n_, *gamma_ = _as(kind, (n, *gamma))
+        _matches_checked(nls_sg_class(n_, placement, gamma_, indices),
+                         (n, 2, *s, *(-x for x in gamma)))
+    for alpha, coeffs in (((1, 0, 0, 0), (0, 1, -1, 0, 0, 0, -1, 0, 0, 0)),
+                          ((2, 1, 0, 0), (2, 1, 0, -1, 0, 0, -2, -1, 0, 0)),
+                          ((1, 1, 1, 0), (1, 1, 0, 0, 0, -1, -1, -1, -1, 0))):
+        _matches_checked(exceptional_class(_as(kind, alpha)), coeffs)
+    coeffs = (2, 4, -2, 0, 6, 0, 0, -4, 2, 0)
+    e = DivisorClass.from_coefficients(_as(kind, coeffs))
+    _matches_checked(e, coeffs)
+    f = cover_class(3, 1, 1, (2, 1, 1, 1))
+    fc = f.coefficients()
+    (m,) = _as(kind, (2,))
+    (k,) = _as(kind, (1,) if kind is bool else (-3,))
+    _matches_checked(e.divided_by(m), tuple(x // 2 for x in coeffs))
+    _matches_checked(e + f, tuple(x + y for x, y in zip(coeffs, fc)))
+    _matches_checked(e - f, tuple(x - y for x, y in zip(coeffs, fc)))
+    _matches_checked(-e, tuple(-x for x in coeffs))
+    _matches_checked(k * e, tuple(k * x for x in coeffs))
+
+
+def test_each_input_is_checked_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return _integers(*args, **kwargs)
+
+    monkeypatch.setattr(picard, "_integers", counting)
+    d = cover_class(3, 1, 1, (2, 1, 1, 1))
+    assert calls == ["n, d, rho", "gamma"]
+    for build, names in (
+        (lambda: DivisorClass.from_coefficients(range(10)), ["coefficients"]),
+        (lambda: nls_sg_class(4, Placement.DISTINCT_GENERIC, (2, 2, 2, 2)), ["n", "gamma"]),
+        (lambda: exceptional_class((2, 1, 0, 0)), ["alpha"]),
+        (lambda: (2 * d).divided_by(2), ["k", "m"]),
+        (lambda: d + d - d, []),
+        (lambda: -d, []),
+    ):
+        calls.clear()
+        build()
+        assert calls == names
+
+
 def test_bad_input_fails_loudly():
     d = cover_class(3, 1, 1, (2, 1, 1, 1))  # odd coefficients, so 2.5 * d is not integral
     for build in (
@@ -361,9 +450,10 @@ def test_tilde_genus_of_a_tau_invariant_class():
     (lambda d: DivisorClass(0, 0, r=(0.5, 0, 0, 0)), "r"),
     (lambda d: 2.5 * d, "k"),
     (lambda d: DivisorClass.from_coefficients(range(9)), "coefficients"),
+    (lambda d: TauInvariantClass((1, 2)), "divisor"),
 ], ids=["divided-0", "cover-d-0", "cover-gamma-neg", "nls-sg-n-0", "nls-sg-gamma-neg",
         "exceptional-neg", "parity-index-half", "class-a-half", "class-s-short",
-        "class-r-half", "times-half", "from-coefficients-short"])
+        "class-r-half", "times-half", "from-coefficients-short", "tau-not-a-class"])
 def test_integer_errors_name_their_input(call, name):
     with pytest.raises(InvalidInvariants) as raised:
         call(cover_class(3, 1, 1, (2, 1, 1, 1)))
