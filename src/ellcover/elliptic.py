@@ -29,8 +29,11 @@ or G*q^(2n-2), E = exp(2iv), G = q^2/E (DLMF 23.8).  wp, wp' and zeta share
 one kernel: the two rows nearest z (s = E and s = G) in closed form, every
 other row through a Lambert series in powers of E and G whose coefficients
 are fixed per lattice, so a point costs one exponential, three divisions
-and one small matrix product, run in blocks that keep the power table near
-1 MB.  A brute-force truncated lattice sum is kept as an independent
+and one small matrix product.  Points run in blocks that keep the power
+table near 1 MB, and each block does all of its work, the reduction into
+the cell and the pole check included, in buffers made once per call; see
+`Lattice._evaluate` for the layout and the numpy rounding facts that fix
+it.  A brute-force truncated lattice sum is kept as an independent
 cross-check in `elliptic_reference`.
 
 Half-period representatives are fixed once and indexed 0..3:
@@ -65,7 +68,7 @@ POLE_EXCLUSION_FACTOR = 1e-3
 
 _MAX_ROWS = 512
 
-#: Values in the power table of one block of `Lattice._series` (1 MB of complex128).
+#: Values in the power table of one block of `Lattice._evaluate` (1 MB of complex128).
 _BLOCK_ELEMS = 1 << 16
 
 #: Power p of j in the series coefficients j^p * L_j of each function.
@@ -165,6 +168,11 @@ class Lattice:
         return _gauss_reduce(*self.periods)
 
     @cached_property
+    def _coordinates(self) -> tuple[float, float, float, float]:
+        """The real matrix taking z to its coordinates in the reduced basis."""
+        return _inverse_basis(*self._reduced)
+
+    @cached_property
     def shortest_vector(self) -> float:
         return abs(self._reduced[0])
 
@@ -179,7 +187,7 @@ class Lattice:
 
     @cached_property
     def _rows(self) -> int:
-        """Truncation order of the Lambert series in `_series`: every term
+        """Truncation order of the Lambert series in `_evaluate`: every term
         x^j with j > rows is dropped.
 
         With r = |q|^2 = exp(-2y) and y = pi*Im(tau) >= pi*sqrt(3)/2, r < 0.0044.
@@ -214,7 +222,7 @@ class Lattice:
 
     @cached_property
     def _lambert(self) -> np.ndarray:
-        """Coefficient matrix of `_series`, whose rows p = 0, 1, 2 sum the
+        """Coefficient matrix of `_evaluate`, whose rows p = 0, 1, 2 sum the
         terms of zeta, wp and wp'.
 
         Column 2i weighs the E-part of power-table row i and column 2i + 1
@@ -235,7 +243,7 @@ class Lattice:
 
     @cached_property
     def _block(self) -> int:
-        """Points per block of `_series`: a block's power table holds at most
+        """Points per block of `_evaluate`: a block's power table holds at most
         _BLOCK_ELEMS values."""
         return max(1, _BLOCK_ELEMS // (2 * self._rows + 6))
 
@@ -250,7 +258,7 @@ class Lattice:
     def _reduced_quasi(self) -> tuple[complex, complex]:
         """Quasi-period constants of the *reduced* basis vectors."""
         q1, q2 = self._reduced
-        half = self._series(np.array([q1 / 2.0, q2 / 2.0]), "zeta")
+        half = self._evaluate(np.array([q1 / 2.0, q2 / 2.0]), "zeta", in_cell=True)
         return 2.0 * complex(half[0]), 2.0 * complex(half[1])
 
     @cached_property
@@ -265,37 +273,28 @@ class Lattice:
             )
         return QuasiPeriods(eta1, eta2), defect
 
-    # -- reduction ----------------------------------------------------------
+    # -- the kernel ----------------------------------------------------------
 
-    def _cell_point(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Reduce finite, off-pole z into the centered cell of the reduced basis:
-        (representative, integer shift coordinates, whether z was a scalar)."""
-        arr = np.asarray(z, dtype=complex)
-        if not np.isfinite(arr).all():
-            raise ValueError("evaluation points must be finite")
-        zr, m, n = _split(arr, *self._reduced)
-        closest = np.abs(zr).min() if zr.size else math.inf
-        if closest < self.pole_radius:
-            raise PoleProximity(
-                f"point within {float(closest):.3e} of a lattice point "
-                f"(exclusion radius {self.pole_radius:.3e})"
-            )
-        return zr, m, n, arr.ndim == 0
+    def _evaluate(self, z, name: str, in_cell: bool = False) -> np.ndarray:
+        """The function `name` ("wp", "wp_prime" or "zeta") at z, shaped like z.
 
-    # -- resummed series (arguments already reduced) -------------------------
+        z is reduced into the centered cell of the reduced basis (q1, q2) as
+        zr = z - m*q1 - n*q2, and zeta adds the exact correction
+        m*eta(q1) + n*eta(q2) of `_reduced_quasi`.  Raises ValueError for a
+        non-finite point, before any work, and PoleProximity for a point
+        within `pole_radius` of a lattice point, naming the nearest distance.
+        in_cell=True takes z as finite, off-pole points of the cell, with no
+        check, reduction or correction.
 
-    def _series(self, zr: np.ndarray, name: str) -> np.ndarray:
-        """The function `name` ("wp", "wp_prime" or "zeta") at reduced points zr.
-
-        Row n = -inf..inf contributes csc^2 and cot of v + n*pi*tau, with
-        v = pi*zr/q1 reflected into Im v >= 0 (parity undoes it).  The row's
-        exponential is s = E*q^(2n) for n >= 0 and s = G*q^(2|n|-2) for n < 0,
-        E = exp(2iv), G = q^2/E, both of modulus at most 1; the rows are
-        rational in s through f0 = s/(1-s), f1 = s/(1-s)^2 and
-        f2 = s(1+s)/(1-s)^3, as csc^2 = -4*f1, cot = -/+ i*(1 + 2*f0) and
-        d(csc^2)/dv = -/+ 8i*f2 (n >= 0 / n < 0).  zeta and wp' take the
-        difference of the n >= 0 and n < 0 sums of f0 and f2, wp the sum
-        of f1.
+        Row n = -inf..inf of the lattice sum contributes csc^2 and cot of
+        v + n*pi*tau, with v = pi*zr/q1 reflected into Im v >= 0 (parity
+        undoes it).  The row's exponential is s = E*q^(2n) for n >= 0 and
+        s = G*q^(2|n|-2) for n < 0, E = exp(2iv), G = q^2/E, both of modulus
+        at most 1; the rows are rational in s through f0 = s/(1-s),
+        f1 = s/(1-s)^2 and f2 = s(1+s)/(1-s)^3, as csc^2 = -4*f1,
+        cot = -/+ i*(1 + 2*f0) and d(csc^2)/dv = -/+ 8i*f2 (n >= 0 / n < 0).
+        zeta and wp' take the difference of the n >= 0 and n < 0 sums of f0
+        and f2, wp the sum of f1.
 
         Rows 0 and -1 (s = E and s = G, the only ones with |s| near 1) are
         evaluated in closed form.  Every other row is n >= 1 at s = x*q^(2n)
@@ -305,40 +304,104 @@ class Lattice:
         j = 1..rows and both x, then the closed-form rows, and one product
         with the per-lattice `_lambert` matrix adds it all up.  Per point
         that is one exponential and three divisions, however many rows.
+
+        Layout.  The points run in blocks of `_block` points from index 0 (a
+        power table near 1 MB).  Each block reduces its points, takes their
+        distance to the nearest lattice point, reflects them, exponentiates,
+        fills the table and takes one `np.dot`, every step writing into
+        buffers made once per call: the table, 1 - s, v (then 2iv), |zr|,
+        and for wp and wp' the reduced points, their shift coordinates and
+        their parity.  Only `sums` (the dot products), the parity for wp'
+        and zeta, and zr, m and n for zeta span the call; after the last
+        block the finishing step is one whole-array expression (and zeta's
+        correction one more).  Nothing is kept between calls, so a Lattice
+        stays safe for concurrent use.
+
+        Every value is bit for bit what one whole-array operation per step
+        gives, and three facts of numpy's arithmetic (2.4) fix the layout.
+        np.dot rounds a row by its position in its block, so the blocks keep
+        their boundaries.  A complex product rounds by operand order (a*b
+        and b*a differ in the last bit), so every product keeps its written
+        order.  An expression on a temporary of at least 256 KiB (16,384
+        complex values) runs in place with the operands of the product
+        swapped, so the finishing expressions stay whole and as written:
+        computed on a named array, `-(k**2) * (4.0 * sums + c)` changes wp
+        from 16,384 points up.  A complex product may also round differently
+        when its output is one of its inputs, so only the exact reflection
+        and factor 2i run in place.
         """
-        k = math.pi / self._reduced[0]
-        rows, q2 = self._rows, self._q2
-        z = zr.reshape(-1)
-        w = k * z  # v, then 2iv, in place
-        parity = np.where(np.signbit(w.imag), -1.0, 1.0)
-        w *= parity
-        w *= 2j
+        arr = np.asarray(z, dtype=complex)
+        if not (in_cell or np.isfinite(arr).all()):
+            raise ValueError("evaluation points must be finite")
+        q1, q2 = self._reduced
+        c11, c12, c21, c22 = self._coordinates
+        k = math.pi / q1
+        rows, qq = self._rows, self._q2
         # p = 0 (zeta), 1 (wp), 2 (wp'); the table needs f0..f_p
         p = _SERIES_POWER[name]
         height = rows + p + 1
         coef = self._lambert[p, : 2 * height]
-        # one power table per call; in a block, row i holds the values at the
-        # block's points for E, then for G: x^(i+1), then f0..f_p
-        width = max(1, min(self._block, z.size))
-        buf = np.empty(2 * height * width, complex)
-        sums = np.empty(z.size, complex)
-        for lo in range(0, z.size, width):
-            n = min(width, z.size - lo)
-            x = buf[: 2 * height * n].reshape(height, 2 * n)
-            s, e, g = x[0], x[0, :n], x[0, n:]
-            np.exp(w[lo : lo + n], out=e)
-            if q2:
-                np.divide(q2, e, out=g)
+        flat = arr.reshape(-1)
+        size = flat.size
+        width = max(1, min(self._block, size))
+        # spanning the call: sums; parity for wp' and zeta; zr, m and n for
+        # zeta, whose finishing step and correction read them
+        keep = p == 0
+        sums = np.empty(size, complex)
+        parity = np.empty(width if p == 1 else size)
+        if not in_cell:
+            span = size if keep else width
+            cells, m_all, n_all = np.empty(span, complex), np.empty(span), np.empty(span)
+        # block buffers: the power table, whose row i holds the values at the
+        # block's points for E, then for G: x^(i+1), then f0..f_p; 1 - s; v
+        # and 2iv; |zr| and a real temporary
+        table = np.empty(2 * height * width, complex)
+        ds, ws, rs = np.empty(2 * width, complex), np.empty(width, complex), np.empty(width)
+        closest = math.inf
+        for lo in range(0, size, width):
+            hi = min(lo + width, size)
+            nb = hi - lo
+            # the block's points of a call-wide array, or the first nb of a buffer
+            blk, own = slice(lo, hi), slice(0, nb)
+            at = blk if keep else own
+            w, r = ws[own], rs[own]
+            if in_cell:
+                zr = flat[blk]
+            else:  # zr = z - m*q1 - n*q2, each step as in `_split` (rint is round)
+                pts, zr, m, n = flat[blk], cells[at], m_all[at], n_all[at]
+                re, im = pts.real, pts.imag
+                np.multiply(c11, re, out=m)
+                m += np.multiply(c12, im, out=r)
+                np.rint(m, out=m)
+                np.multiply(c21, re, out=n)
+                n += np.multiply(c22, im, out=r)
+                np.rint(n, out=n)
+                np.multiply(m, q1, out=zr)
+                np.subtract(pts, zr, out=zr)
+                zr -= np.multiply(n, q2, out=w)
+                closest = min(closest, np.minimum.reduce(np.abs(zr, out=r)))
+                if closest < self.pole_radius:
+                    continue  # the other blocks are only reduced, for the message
+            sign = parity[own if p == 1 else blk]
+            np.multiply(k, zr, out=w)  # v, then 2iv, in place
+            np.copysign(1.0, w.imag, out=sign)
+            w *= sign
+            w *= 2j
+            x = table[: 2 * height * nb].reshape(height, 2 * nb)
+            s, e, g = x[0], x[0, :nb], x[0, nb:]
+            np.exp(w, out=e)
+            if qq:
+                np.divide(qq, e, out=g)
             else:  # q^2 underflowed, and E may have too: G is below any precision
                 g[:] = 0.0
-            # x^(m+1)..x^(2m) from x^1..x^m, doubling m
-            m = 1
-            while m < rows:
-                c = min(m, rows - m)
-                np.multiply(x[:c], x[m - 1], out=x[m : m + c])
-                m += c
+            # x^(j+1)..x^(2j) from x^1..x^j, doubling j
+            j = 1
+            while j < rows:
+                c = min(j, rows - j)
+                np.multiply(x[:c], x[j - 1], out=x[j : j + c])
+                j += c
             # rows 0 and -1 in closed form, after the powers
-            d = np.subtract(1.0, s)
+            d = np.subtract(1.0, s, out=ds[: 2 * nb])
             np.divide(1.0, d, out=d)
             f = x[rows:]
             np.multiply(s, d, out=f[0])
@@ -346,14 +409,23 @@ class Lattice:
                 np.multiply(f[0], d, out=f[1])
             if p > 1:  # f0 + d = (1 + s)/(1 - s)
                 np.multiply(np.add(f[0], d, out=d), f[1], out=f[2])
-            np.dot(x.reshape(2 * height, n).T, coef, out=sums[lo : lo + n])
+            np.dot(x.reshape(2 * height, nb).T, coef, out=sums[blk])
+        if closest < self.pole_radius:
+            raise PoleProximity(
+                f"point within {float(closest):.3e} of a lattice point "
+                f"(exclusion radius {self.pole_radius:.3e})"
+            )
         if name == "wp":
             out = -(k**2) * (4.0 * sums + self._row_constant)
         elif name == "wp_prime":
             out = parity * (-8j * k**3) * sums
         else:
+            z = flat if in_cell else cells
             out = parity * (-1j * k) * (1.0 + 2.0 * sums) + k**2 * self._row_constant * z
-        return out.reshape(zr.shape)
+            if not in_cell:
+                er1, er2 = self._reduced_quasi
+                out = out + m_all * er1 + n_all * er2
+        return out.reshape(arr.shape)
 
 
 def half_period(lattice: Lattice, index: HalfPeriodIndex | int) -> complex:
@@ -376,16 +448,14 @@ def reduce(lattice: Lattice, z):
 
 def wp(lattice: Lattice, z):
     """Weierstrass P-function. Raises PoleProximity near lattice points."""
-    zr, _, _, scalar = lattice._cell_point(z)
-    out = lattice._series(zr, "wp")
-    return complex(out) if scalar else out
+    out = lattice._evaluate(z, "wp")
+    return complex(out) if out.ndim == 0 else out
 
 
 def wp_prime(lattice: Lattice, z):
     """Derivative of the P-function (odd)."""
-    zr, _, _, scalar = lattice._cell_point(z)
-    out = lattice._series(zr, "wp_prime")
-    return complex(out) if scalar else out
+    out = lattice._evaluate(z, "wp_prime")
+    return complex(out) if out.ndim == 0 else out
 
 
 def zeta(lattice: Lattice, z):
@@ -394,10 +464,8 @@ def zeta(lattice: Lattice, z):
     Arbitrary arguments are handled by reduction plus the exact additive
     correction m*eta(q1) + n*eta(q2) for the reduced basis.
     """
-    zr, m, n, scalar = lattice._cell_point(z)
-    er1, er2 = lattice._reduced_quasi
-    out = lattice._series(zr, "zeta") + m * er1 + n * er2
-    return complex(out) if scalar else out
+    out = lattice._evaluate(z, "zeta")
+    return complex(out) if out.ndim == 0 else out
 
 
 def quasi_periods(lattice: Lattice) -> QuasiPeriods:

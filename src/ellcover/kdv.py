@@ -20,10 +20,12 @@ both as a stencil and exactly through the chain rule on wp', and the two
 backends must agree to stencil accuracy.  Asked for a tuple of backends,
 it evaluates u over the grid once and returns one residual per backend;
 the chain backend evaluates wp' only on the stencil core.  The grid is a
-column of x against a row of t, broadcast once by the phase; the stencils
-are built in place, each float operation in the order the formulas are
-written, so the residuals are bit for bit those of one fresh array per
-operation.
+column of x against a row of t, broadcast once by the phase.  The stencils
+then run over tiles of whole x-rows of the core, about `_TILE_POINTS`
+points each, in five tile-sized buffers made once per call, each float
+operation in the order the formulas are written; a residual is the
+largest of its tiles' maxima, so the residuals are bit for bit those of one
+fresh full-grid array per operation.
 `periodicity_check` verifies that u is an exact lattice-period function
 of x, and `monodromy_factor` evaluates the single-valuedness factor
 
@@ -40,8 +42,10 @@ lattices of diameter around 2*pi (see `Grid.for_lattice`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -52,6 +56,9 @@ from .errors import InvalidInvariants
 _HX_FACTOR = 2.4e-4
 #: Default t spacing as a fraction of the first period length.
 _HT_FACTOR = 8.0e-5
+#: Stencil-core points per tile of `kdv_residual`: 256 KiB per complex buffer,
+#: so a tile's five buffers stay in a 2 MiB L2 cache.
+_TILE_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -102,10 +109,15 @@ class Grid:
     x_center: complex | None = None
 
     def __post_init__(self):
-        if self.nx < 5 or self.nt < 3:
-            raise InvalidInvariants("need nx >= 5 and nt >= 3 for the stencils")
-        if self.hx <= 0 or self.ht <= 0:
-            raise InvalidInvariants("grid spacings must be positive")
+        for name, low in (("nx", 5), ("nt", 3)):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, Integral) or value < low:
+                raise InvalidInvariants(
+                    f"{name}: need an integer >= {low} for the stencils, got {value!r}")
+        for name in ("hx", "ht"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                raise InvalidInvariants(f"{name}: need a finite spacing > 0, got {value!r}")
 
     @classmethod
     def for_lattice(cls, lattice: Lattice, nx: int = 200, nt: int = 20) -> "Grid":
@@ -146,34 +158,42 @@ def kdv_residual(
     X = grid.x_samples(wave.lattice)[:, None]
     T = grid.t_samples()[None, :]
     U = wave.u(X, T)
+    ut = wave.u_t(X[2:-2], T[:, 1:-1]) if "chain" in backends else None
 
     hx, ht = grid.hx, grid.ht
-    # each float operation of u_x = (U3 - U1) / (2*hx),
-    # u_xxx = (U4 - 2*U3 + 2*U1 - U0) / (2*hx^3) and
-    # rhs = 0.25 * (6*u*u_x + u_xxx) as written, with Uk = U[k:k-4, 1:-1],
-    # in three buffers; the complex product 6*u*u_x gets a fresh one, as
-    # numpy may round it differently when its output is an input
-    U0, U1, U3, U4 = U[:-4, 1:-1], U[1:-3, 1:-1], U[3:-1, 1:-1], U[4:, 1:-1]
-    a = np.subtract(U3, U1)  # u_x
-    a /= 2.0 * hx
-    b = np.multiply(6.0, U[2:-2, 1:-1])
-    rhs = np.multiply(b, a)
-    np.multiply(2.0, U3, out=a)  # u_xxx
-    np.subtract(U4, a, out=a)
-    a += np.multiply(2.0, U1, out=b)
-    a -= U0
-    a /= 2.0 * hx**3
-    rhs += a
-    rhs *= 0.25
-    residuals = []
-    for name in backends:
-        if name == "stencil":
-            d = np.subtract(U[2:-2, 2:], U[2:-2, :-2])
-            d /= 2.0 * ht
-        else:
-            d = wave.u_t(X[2:-2], T[:, 1:-1])
-        d -= rhs
-        residuals.append(float(np.abs(d).max()))
+    core, cols = U.shape[0] - 4, U.shape[1] - 2
+    shape = (max(1, min(core, _TILE_POINTS // cols)), cols)
+    bufs = [np.empty(shape, complex) for _ in range(4)] + [np.empty(shape)]
+    peaks = [[] for _ in backends]
+    for lo in range(0, core, shape[0]):
+        hi = min(lo + shape[0], core)
+        a, b, rhs, d, mag = (buf[: hi - lo] for buf in bufs)
+        # each float operation of u_x = (U3 - U1) / (2*hx),
+        # u_xxx = (U4 - 2*U3 + 2*U1 - U0) / (2*hx^3) and
+        # rhs = 0.25 * (6*u*u_x + u_xxx) as written, with Uk = U[k:k-4, 1:-1]
+        # cut to the tile's rows; the complex product 6*u*u_x gets its own
+        # buffer, as numpy may round it differently when its output is an input
+        U0, U1, U2, U3, U4 = (U[lo + i : hi + i, 1:-1] for i in range(5))
+        np.subtract(U3, U1, out=a)  # u_x
+        a /= 2.0 * hx
+        np.multiply(6.0, U2, out=b)
+        np.multiply(b, a, out=rhs)
+        np.multiply(2.0, U3, out=a)  # u_xxx
+        np.subtract(U4, a, out=a)
+        a += np.multiply(2.0, U1, out=b)
+        a -= U0
+        a /= 2.0 * hx**3
+        rhs += a
+        rhs *= 0.25
+        for peak, name in zip(peaks, backends):
+            if name == "stencil":
+                np.subtract(U[lo + 2 : hi + 2, 2:], U[lo + 2 : hi + 2, :-2], out=d)
+                d /= 2.0 * ht
+                d -= rhs
+            else:
+                np.subtract(ut[lo:hi], rhs, out=d)
+            peak.append(np.abs(d, out=mag).max())
+    residuals = [float(np.max(peak)) for peak in peaks]
     return tuple(residuals) if many else residuals[0]
 
 

@@ -483,3 +483,64 @@ def test_change_of_basis_leaves_the_functions_unchanged(seed):
         # eta_j = 2*zeta(omega_j), each at most (|x| + |y|) lattice steps away
         bound = 2 * lat.tolerance * (abs(x) + abs(y)) * size
         assert abs(eta - (x * old.eta1 + y * old.eta2)) <= bound
+
+
+# -- the block loop ------------------------------------------------------------
+
+#: Reduced first period (0.6 + 1.7i)*pi, not real: 7 series rows, 3,276-point blocks.
+BLOCKED = Lattice(math.pi, complex(0.3, 0.85) * math.pi)
+
+
+def _blocks_of_points(seed: int, blocks: float) -> np.ndarray:
+    return interior_points(BLOCKED, np.random.default_rng(seed), int(blocks * BLOCKED._block))
+
+
+@pytest.mark.parametrize("f", [wp, wp_prime, zeta])
+def test_pole_in_a_middle_block_is_reported_like_one_point(f):
+    pts = _blocks_of_points(11, 3.5)
+    p1, _ = BLOCKED.periods
+    radius = BLOCKED.pole_radius
+    nearest = p1 + 0.3 * radius * 1j
+    pts[100] = p1 + 0.9 * radius  # inside the radius too, in the first block
+    pts[BLOCKED._block + 7] = nearest
+    with pytest.raises(PoleProximity) as single:
+        f(BLOCKED, nearest)
+    with pytest.raises(PoleProximity) as blocked:
+        f(BLOCKED, pts)
+    assert str(blocked.value) == str(single.value)
+    assert f"{abs(nearest - p1):.3e}" in str(single.value)
+
+
+@pytest.mark.parametrize("f", [wp, wp_prime, zeta])
+def test_nan_in_the_last_block_is_rejected(f):
+    pts = _blocks_of_points(12, 3.2)
+    pts[-1] = complex(0.1, math.nan)
+    with pytest.raises(ValueError, match="^evaluation points must be finite$"):
+        f(BLOCKED, pts)
+    pts[5] = 0.0  # a pole in the first block does not hide it
+    with pytest.raises(ValueError, match="^evaluation points must be finite$"):
+        f(BLOCKED, pts)
+
+
+@pytest.mark.parametrize("f", [wp, wp_prime, zeta])
+def test_empty_and_zero_dim_inputs_keep_shape_and_type(f):
+    for shape in ((0,), (0, 3), (4, 0)):
+        out = f(BLOCKED, np.empty(shape, complex))
+        assert type(out) is np.ndarray and out.dtype == complex and out.shape == shape
+    out = f(BLOCKED, [])
+    assert type(out) is np.ndarray and out.shape == (0,)
+    z = 0.4 + 0.3j
+    one = f(BLOCKED, np.array([z]))[0]
+    for scalar in (z, np.complex128(z), np.array(z)):
+        out = f(BLOCKED, scalar)
+        assert type(out) is complex and out == one
+
+
+def test_zeta_quasi_periodicity_across_blocks():
+    qp = quasi_periods(BLOCKED)
+    p1, p2 = BLOCKED.periods
+    z = _blocks_of_points(13, 3.3)
+    assert z.size > 10_000
+    base = zeta(BLOCKED, z)
+    assert np.abs(zeta(BLOCKED, z + p1) - base - qp.eta1).max() < 1e-9
+    assert np.abs(zeta(BLOCKED, z + p2) - base - qp.eta2).max() < 1e-9

@@ -113,6 +113,11 @@ EXACT_CASES = {
                     {"hx": 0.1, "ht": 0.03}),
     "near-pole-13x5": (1 + 0.5j, -0.7 + 1.9j, 0.3 + 0.2j, 0.1j, 13, 5,
                        {"hx": 0.06, "ht": 0.01, "x_center": 0.5}),
+    # 40,000 points: 13 kernel blocks and 3 stencil tiles, above the size at
+    # which numpy evaluates an expression on a temporary in place, with a
+    # reduced first period that is not real
+    "blocks-and-tiles-1000x40": (math.pi, complex(0.3, 0.85) * math.pi, 0.9 - 0.4j, 0.0,
+                                 1000, 40, {}),
 }
 
 
@@ -209,6 +214,23 @@ def test_grid_validation():
         kdv_residual(TravelingWave(LAT), time_derivative="spectral")
     with pytest.raises(InvalidInvariants):
         kdv_residual(TravelingWave(LAT), time_derivative=("stencil", "spectral"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nx", 7.5), ("nx", 8.0), ("nx", True), ("nx", np.bool_(True)), ("nx", "8"), ("nx", None),
+    ("nx", 4), ("nt", 4.5), ("nt", False), ("nt", np.int64(2)),
+    ("hx", math.nan), ("hx", math.inf), ("hx", 0.0), ("hx", -1e-3), ("hx", 1e-3j), ("hx", "1e-3"),
+    ("ht", math.inf), ("ht", math.nan), ("ht", -0.0), ("ht", np.float64(-math.inf)),
+])
+def test_grid_rejects_a_bad_field_by_name(field, value):
+    with pytest.raises(InvalidInvariants, match=f"^{field}: "):
+        Grid(**{field: value})
+
+
+def test_grid_accepts_numpy_numbers():
+    g = Grid(nx=np.int64(7), hx=np.float64(1e-3), nt=np.int32(3), ht=np.float32(1e-3))
+    assert g.x_samples(LAT).size == 7 and g.t_samples().size == 3
+    assert kdv_residual(TravelingWave(LAT, lam=1.0), g) < 1e-3
 
 
 def test_grid_hitting_a_pole_raises():
