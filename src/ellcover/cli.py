@@ -266,13 +266,20 @@ def _csv_rows(rows, write) -> None:
 
 def _parse_complex(text: str) -> complex:
     """`a`, `bi`, `a+bi` or `(a+bi)` as a complex number.  Only a trailing
-    imaginary unit becomes Python's `j`, so `inf` and `nan` parse, and the
-    handlers reject them as non-finite."""
+    imaginary unit becomes Python's `j`, so `inf` and `nan` parse, and
+    `_finite_complex` or the handlers reject them as non-finite."""
     cleaned = text.strip().replace(" ", "")
     try:
         return complex(re.sub(r"i(\)?)$", r"j\1", cleaned))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
+
+
+def _finite_complex(text: str) -> complex:
+    value = _parse_complex(text)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
 
 
 def _parse_ints(count: int):
@@ -548,8 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-kdv", help="residual, periodicity and monodromy defects")
     p.add_argument("--omega1", type=_parse_complex, required=True)
     p.add_argument("--omega2", type=_parse_complex, required=True)
-    p.add_argument("--lambda", dest="lam", type=_parse_complex, default=0j)
-    p.add_argument("--x0", type=_parse_complex, default=0j)
+    p.add_argument("--lambda", dest="lam", type=_finite_complex, default=0j)
+    p.add_argument("--x0", type=_finite_complex, default=0j)
     p.add_argument("--grid", type=_parse_ints(2), default=None, metavar="NX,NT")
     p.add_argument("--precision", type=float, default=1e-12)
     p.add_argument("--residual-tol", type=_tolerance, default=1e-6,

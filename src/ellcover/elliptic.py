@@ -24,17 +24,14 @@ which turns the slowly convergent double sum into a single sum over rows
 whose terms decay like |q|^(2n), q = exp(i*pi*omega2/omega1).  The basis is
 Gauss-reduced internally first, so Im(tau) >= sqrt(3)/2 and a rigorous
 geometric tail bound picks the series order from the requested precision.
-With v = pi*z/q1 reflected into Im v >= 0, every row is rational in E*q^(2n)
-or G*q^(2n-2), E = exp(2iv), G = q^2/E (DLMF 23.8).  wp, wp' and zeta share
-one kernel: the two rows nearest z (s = E and s = G) in closed form, every
-other row through a Lambert series in powers of E and G whose coefficients
-are fixed per lattice, so a point costs one exponential, three divisions
-and one small matrix product.  Points run in blocks that keep the power
-table near 1 MB, and each block does all of its work, the reduction into
-the cell and the pole check included, in buffers made once per call; see
-`Lattice._evaluate` for the layout and the numpy rounding facts that fix
-it.  A brute-force truncated lattice sum is kept as an independent
-cross-check in `elliptic_reference`.
+wp, wp' and zeta share one kernel: the two rows nearest z in closed form,
+every other row through a Lambert series whose coefficients are fixed per
+lattice, so a point costs one exponential, three divisions and one small
+matrix product.  Points run in blocks that keep the power table near 1 MB,
+and each block does all of its work, from the reduction into the cell to
+its finished values, in one-block buffers, so no value depends on the
+length of its array; see `Lattice._evaluate`.  A brute-force truncated
+lattice sum is kept as an independent cross-check in `elliptic_reference`.
 
 Half-period representatives are fixed once and indexed 0..3:
 
@@ -306,29 +303,21 @@ class Lattice:
         that is one exponential and three divisions, however many rows.
 
         Layout.  The points run in blocks of `_block` points from index 0 (a
-        power table near 1 MB).  Each block reduces its points, takes their
-        distance to the nearest lattice point, reflects them, exponentiates,
-        fills the table and takes one `np.dot`, every step writing into
-        buffers made once per call: the table, 1 - s, v (then 2iv), |zr|,
-        and for wp and wp' the reduced points, their shift coordinates and
-        their parity.  Only `sums` (the dot products), the parity for wp'
-        and zeta, and zr, m and n for zeta span the call; after the last
-        block the finishing step is one whole-array expression (and zeta's
-        correction one more).  Nothing is kept between calls, so a Lattice
+        power table near 1 MB).  Each block is reduced, checked against the
+        poles, reflected, exponentiated, tabled, summed by one `np.dot` and
+        finished (zeta's correction included) straight into the output, the
+        only array as long as z; every other buffer holds one block and is
+        made once per call.  Nothing is kept between calls, so a Lattice
         stays safe for concurrent use.
 
-        Every value is bit for bit what one whole-array operation per step
-        gives, and three facts of numpy's arithmetic (2.4) fix the layout.
-        np.dot rounds a row by its position in its block, so the blocks keep
-        their boundaries.  A complex product rounds by operand order (a*b
-        and b*a differ in the last bit), so every product keeps its written
-        order.  An expression on a temporary of at least 256 KiB (16,384
-        complex values) runs in place with the operands of the product
-        swapped, so the finishing expressions stay whole and as written:
-        computed on a named array, `-(k**2) * (4.0 * sums + c)` changes wp
-        from 16,384 points up.  A complex product may also round differently
-        when its output is one of its inputs, so only the exact reflection
-        and factor 2i run in place.
+        numpy (2.4) rounds a row of np.dot by the row count of its block, a
+        complex product by its operand order and by whether its output is an
+        input, and an expression on a temporary of 256 KiB (16,384 complex
+        values) or more in place with a product's operands swapped.  So the
+        blocks keep their boundaries, every product its written order, only
+        the exact reflection and factor 2i run in place, and a block holds
+        at most _BLOCK_ELEMS // (2*6 + 6) = 3,640 points (at the fewest rows,
+        6): no value depends on how many points share the call.
         """
         arr = np.asarray(z, dtype=complex)
         if not (in_cell or np.isfinite(arr).all()):
@@ -344,31 +333,25 @@ class Lattice:
         flat = arr.reshape(-1)
         size = flat.size
         width = max(1, min(self._block, size))
-        # spanning the call: sums; parity for wp' and zeta; zr, m and n for
-        # zeta, whose finishing step and correction read them
-        keep = p == 0
-        sums = np.empty(size, complex)
-        parity = np.empty(width if p == 1 else size)
-        if not in_cell:
-            span = size if keep else width
-            cells, m_all, n_all = np.empty(span, complex), np.empty(span), np.empty(span)
+        out = np.empty(size, complex)
         # block buffers: the power table, whose row i holds the values at the
-        # block's points for E, then for G: x^(i+1), then f0..f_p; 1 - s; v
-        # and 2iv; |zr| and a real temporary
+        # block's points for E, then for G: x^(i+1), then f0..f_p; 1 - s; v,
+        # 2iv, then the dot products; the parity, |zr| and a real temporary;
+        # zr, m and n
         table = np.empty(2 * height * width, complex)
-        ds, ws, rs = np.empty(2 * width, complex), np.empty(width, complex), np.empty(width)
+        ds, ws = np.empty(2 * width, complex), np.empty(width, complex)
+        parity, rs = np.empty(width), np.empty(width)
+        if not in_cell:
+            cells, ms, ns = np.empty(width, complex), np.empty(width), np.empty(width)
         closest = math.inf
         for lo in range(0, size, width):
-            hi = min(lo + width, size)
-            nb = hi - lo
-            # the block's points of a call-wide array, or the first nb of a buffer
-            blk, own = slice(lo, hi), slice(0, nb)
-            at = blk if keep else own
-            w, r = ws[own], rs[own]
+            nb = min(width, size - lo)
+            blk, own = slice(lo, lo + nb), slice(0, nb)  # the block in z and out, and in a buffer
+            w, r, sign = ws[own], rs[own], parity[own]
             if in_cell:
                 zr = flat[blk]
             else:  # zr = z - m*q1 - n*q2, each step as in `_split` (rint is round)
-                pts, zr, m, n = flat[blk], cells[at], m_all[at], n_all[at]
+                pts, zr, m, n = flat[blk], cells[own], ms[own], ns[own]
                 re, im = pts.real, pts.imag
                 np.multiply(c11, re, out=m)
                 m += np.multiply(c12, im, out=r)
@@ -382,7 +365,6 @@ class Lattice:
                 closest = min(closest, np.minimum.reduce(np.abs(zr, out=r)))
                 if closest < self.pole_radius:
                     continue  # the other blocks are only reduced, for the message
-            sign = parity[own if p == 1 else blk]
             np.multiply(k, zr, out=w)  # v, then 2iv, in place
             np.copysign(1.0, w.imag, out=sign)
             w *= sign
@@ -409,22 +391,22 @@ class Lattice:
                 np.multiply(f[0], d, out=f[1])
             if p > 1:  # f0 + d = (1 + s)/(1 - s)
                 np.multiply(np.add(f[0], d, out=d), f[1], out=f[2])
-            np.dot(x.reshape(2 * height, nb).T, coef, out=sums[blk])
+            sums = np.dot(x.reshape(2 * height, nb).T, coef, out=w)
+            if name == "wp":
+                out[blk] = -(k**2) * (4.0 * sums + self._row_constant)
+            elif name == "wp_prime":
+                out[blk] = sign * (-8j * k**3) * sums
+            else:
+                val = sign * (-1j * k) * (1.0 + 2.0 * sums) + k**2 * self._row_constant * zr
+                if not in_cell:
+                    er1, er2 = self._reduced_quasi
+                    val = val + m * er1 + n * er2
+                out[blk] = val
         if closest < self.pole_radius:
             raise PoleProximity(
                 f"point within {float(closest):.3e} of a lattice point "
                 f"(exclusion radius {self.pole_radius:.3e})"
             )
-        if name == "wp":
-            out = -(k**2) * (4.0 * sums + self._row_constant)
-        elif name == "wp_prime":
-            out = parity * (-8j * k**3) * sums
-        else:
-            z = flat if in_cell else cells
-            out = parity * (-1j * k) * (1.0 + 2.0 * sums) + k**2 * self._row_constant * z
-            if not in_cell:
-                er1, er2 = self._reduced_quasi
-                out = out + m_all * er1 + n_all * er2
         return out.reshape(arr.shape)
 
 

@@ -42,10 +42,11 @@ lattices of diameter around 2*pi (see `Grid.for_lattice`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral, Number, Real
 
 import numpy as np
 
@@ -72,6 +73,12 @@ class TravelingWave:
     lam: complex = 0.0
     x0: complex = 0.0
     speed: complex | None = None
+
+    def __post_init__(self):
+        for name in ("lam", "x0") if self.speed is None else ("lam", "x0", "speed"):
+            value = getattr(self, name)
+            if not (isinstance(value, Number) and cmath.isfinite(value)):
+                raise InvalidInvariants(f"{name}: need a finite number, got {value!r}")
 
     @cached_property
     def velocity(self) -> complex:
@@ -118,6 +125,9 @@ class Grid:
             value = getattr(self, name)
             if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
                 raise InvalidInvariants(f"{name}: need a finite spacing > 0, got {value!r}")
+        center = self.x_center
+        if not (center is None or isinstance(center, Number) and cmath.isfinite(center)):
+            raise InvalidInvariants(f"x_center: need a finite number, got {center!r}")
 
     @classmethod
     def for_lattice(cls, lattice: Lattice, nx: int = 200, nt: int = 20) -> "Grid":

@@ -204,6 +204,20 @@ def test_non_finite_input_is_usage_error(command):
     assert res.stdout == b""
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda", "inf"), ("--lambda", "nan"), ("--lambda", "-inf"), ("--lambda", "1+infi"),
+    ("--x0", "nan"), ("--x0", "infinity"), ("--x0", "-infi"),
+])
+def test_non_finite_wave_parameter_names_its_flag(flag, value):
+    res = run_cli("verify-kdv", "--omega1", "3.141592653589793",
+                  "--omega2", "3.141592653589793i", f"{flag}={value}")
+    assert res.returncode == 2 and res.stdout == b""
+    errors = [line for line in res.stderr.decode().splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"error: argument {flag}: need a finite number, got {value!r}")
+    assert b"Warning" not in res.stderr and b"Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("text,value", [
     ("0.5", 0.5), ("-3", -3), ("2.5i", 2.5j), ("0.1+0.9i", 0.1 + 0.9j),
     ("(0.1+0.9i)", 0.1 + 0.9j), (" 1 - 2i ", 1 - 2j), ("i", 1j), ("-i", -1j),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -544,3 +545,49 @@ def test_zeta_quasi_periodicity_across_blocks():
     base = zeta(BLOCKED, z)
     assert np.abs(zeta(BLOCKED, z + p1) - base - qp.eta1).max() < 1e-9
     assert np.abs(zeta(BLOCKED, z + p2) - base - qp.eta2).max() < 1e-9
+
+
+# -- one block at a time ---------------------------------------------------------
+
+
+def _spread_points(seed: int, count: int) -> np.ndarray:
+    """Interior points shifted by up to three periods each way, so that the
+    reduction and zeta's correction act."""
+    rng = np.random.default_rng(seed)
+    p1, p2 = BLOCKED.periods
+    m, n = rng.integers(-3, 4, (2, count))
+    return interior_points(BLOCKED, rng, count) + m * p1 + n * p2
+
+
+@pytest.mark.parametrize("f", [wp, wp_prime, zeta])
+def test_a_call_gives_its_blocks_values(f):
+    # 40,000 points, past the 16,384 at which numpy evaluates an expression
+    # on a temporary in place
+    z = _spread_points(14, 40_000)
+    width = BLOCKED._block
+    whole = f(BLOCKED, z)
+    pieces = [f(BLOCKED, z[lo : lo + width]) for lo in range(0, z.size, width)]
+    assert np.array_equal(whole, np.concatenate(pieces))
+    for k in range(1, z.size // width + 1):
+        assert np.array_equal(whole[: k * width], f(BLOCKED, z[: k * width])), k
+
+
+def test_the_largest_block_stays_below_numpys_in_place_size():
+    # the fewest series rows give the most points per block; a block of
+    # 16,384 complex values (256 KiB) or more would round by the array's length
+    lat = Lattice(1, 100j)
+    assert lat._rows == 6
+    assert lat._block < 16_384
+
+
+@pytest.mark.parametrize("f", [wp, wp_prime, zeta])
+def test_a_call_holds_one_block_besides_its_output(f):
+    z = _spread_points(15, 100_000)
+    f(BLOCKED, z[:10])  # the lattice's cached set-up, outside the trace
+    tracemalloc.start()
+    try:
+        out = f(BLOCKED, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2_000_000

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,9 +114,8 @@ EXACT_CASES = {
                     {"hx": 0.1, "ht": 0.03}),
     "near-pole-13x5": (1 + 0.5j, -0.7 + 1.9j, 0.3 + 0.2j, 0.1j, 13, 5,
                        {"hx": 0.06, "ht": 0.01, "x_center": 0.5}),
-    # 40,000 points: 13 kernel blocks and 3 stencil tiles, above the size at
-    # which numpy evaluates an expression on a temporary in place, with a
-    # reduced first period that is not real
+    # 40,000 points: 13 kernel blocks and 3 stencil tiles, with a reduced
+    # first period that is not real
     "blocks-and-tiles-1000x40": (math.pi, complex(0.3, 0.85) * math.pi, 0.9 - 0.4j, 0.0,
                                  1000, 40, {}),
 }
@@ -221,16 +221,30 @@ def test_grid_validation():
     ("nx", 4), ("nt", 4.5), ("nt", False), ("nt", np.int64(2)),
     ("hx", math.nan), ("hx", math.inf), ("hx", 0.0), ("hx", -1e-3), ("hx", 1e-3j), ("hx", "1e-3"),
     ("ht", math.inf), ("ht", math.nan), ("ht", -0.0), ("ht", np.float64(-math.inf)),
+    ("x_center", math.nan), ("x_center", complex(0.5, -math.inf)), ("x_center", "0.5"),
 ])
 def test_grid_rejects_a_bad_field_by_name(field, value):
     with pytest.raises(InvalidInvariants, match=f"^{field}: "):
         Grid(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", math.inf), ("lam", complex(math.nan, 0.0)), ("lam", None), ("x0", -math.inf),
+    ("x0", complex(0.2, math.nan)), ("x0", "0.2"), ("speed", math.inf), ("speed", np.nan),
+])
+def test_wave_rejects_a_non_finite_field_by_name(field, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInvariants, match=f"^{field}: need a finite number"):
+            TravelingWave(LAT, **{field: value})
+
+
 def test_grid_accepts_numpy_numbers():
-    g = Grid(nx=np.int64(7), hx=np.float64(1e-3), nt=np.int32(3), ht=np.float32(1e-3))
+    g = Grid(nx=np.int64(7), hx=np.float64(1e-3), nt=np.int32(3), ht=np.float32(1e-3),
+             x_center=np.float64(math.pi))
     assert g.x_samples(LAT).size == 7 and g.t_samples().size == 3
-    assert kdv_residual(TravelingWave(LAT, lam=1.0), g) < 1e-3
+    w = TravelingWave(LAT, lam=np.float64(1.0), x0=np.complex128(0j), speed=np.float32(1.5))
+    assert kdv_residual(w, g) < 1e-3
 
 
 def test_grid_hitting_a_pole_raises():
