@@ -4,7 +4,11 @@ Every subcommand emits a deterministic table, one row per result, as JSON
 (default) or CSV.  A row is {"inputs": ..., "derived": ..., "verdicts":
 [{"clause", "ok", "lhs", "rhs"}, ...]}; CSV flattens the same fields.
 Floats are printed with 12 significant digits and complex numbers as
-{"re": ..., "im": ...}, so repeated runs are byte-identical.
+{"re": ..., "im": ...}, so repeated runs are byte-identical.  The
+serializer takes exact types only, those the handlers emit (None, bool,
+int, float, complex, str, Verdict, list, tuple, dict); any other type, a
+subclass included, is a TypeError.  picard-genus prints its exact genus
+values itself as an int or the string "p/q".
 
 Handlers only build rows, and return them as an iterable: enumerate-types
 returns a generator, so each row is encoded as it is produced, written in
@@ -14,12 +18,12 @@ that is the same object as on the previous row (a shared inputs dict) is
 encoded once.  Bad input raises in the handler, before any byte is written.
 `run` derives the exit code from the verdicts during the write:
 0 when every verdict holds or is informational, else 1; 2 for a usage or
-numeric error or a failed write.  Only check-cover, picard-genus and
-verify-kdv can exit 1: the other tables hold by construction (legendre
-raises at the bound its verdict states).  A write that fails mid-stream (a
-full disk, say) leaves a truncated --output file or partial stdout; nothing
-is rolled back.  Data goes to stdout, diagnostics to stderr.  There are no
-environment knobs.
+numeric error, running out of memory or a failed write.  Only check-cover,
+picard-genus and verify-kdv can exit 1: the other tables hold by
+construction (legendre raises at the bound its verdict states).  A write
+that fails mid-stream (a full disk, say) leaves a truncated --output file
+or partial stdout; nothing is rolled back.  Data goes to stdout,
+diagnostics to stderr.  There are no environment knobs.
 
 An integer subcommand's child loads argparse and the package's integer
 layer, never numpy or `dataclasses`: the records of `invariants` and of
@@ -92,11 +96,11 @@ _json_key = functools.lru_cache(maxsize=256, typed=True)(lambda k: _json_str(str
 
 
 def _json_seq(v) -> str:
-    return "[" + ", ".join([_JSON_BY_TYPE.get(type(x), _json_subclassed)(x) for x in v]) + "]"
+    return "[" + ", ".join([_JSON_BY_TYPE.get(type(x), _unserializable)(x) for x in v]) + "]"
 
 
 def _json_dict(v) -> str:
-    return "{" + ", ".join([f"{_json_key(k)}: {_JSON_BY_TYPE.get(type(x), _json_subclassed)(x)}"
+    return "{" + ", ".join([f"{_json_key(k)}: {_JSON_BY_TYPE.get(type(x), _unserializable)(x)}"
                             for k, x in v.items()]) + "}"
 
 
@@ -108,7 +112,7 @@ def _json_verdict(v: inv.Verdict) -> str:
 
 
 def _flat_seq(v) -> str:
-    return "(" + ";".join([_FLAT_BY_TYPE.get(type(x), _flat_subclassed)(x) for x in v]) + ")"
+    return "(" + ";".join([_FLAT_BY_TYPE.get(type(x), _unserializable)(x) for x in v]) + ")"
 
 
 def _flat_verdict(v: inv.Verdict) -> str:
@@ -121,16 +125,17 @@ def _flat_complex(v: complex) -> str:
     return f"{_fmt_float(v.real)}{'+' if v.imag >= 0 else '-'}{_fmt_float(abs(v.imag))}i"
 
 
-# type, JSON text, CSV cell text (None: not a CSV cell).  A type named as
-# "module.Name" is looked up only when a value misses the exact types, and
-# only if its module is loaded: an instance cannot exist before that, so
-# encoding never imports `fractions` (only picard-genus emits a Fraction).
+def _unserializable(v):
+    raise TypeError(f"cannot serialize {type(v)}")
+
+
+# exact type, JSON text, CSV cell text (None: not a CSV cell): the types the
+# handlers emit.  Any other type, a subclass included, is a TypeError.
 _ENCODERS = (
     (type(None), lambda v: "null", lambda v: ""),
     (bool, ("false", "true").__getitem__, ("false", "true").__getitem__),
     (int, str, str),
     (float, _fmt_float, _fmt_float),
-    ("fractions.Fraction", lambda v: str(v) if v.denominator == 1 else f'"{v}"', str),
     (complex, lambda v: '{"re": %s, "im": %s}' % (_fmt_float(v.real), _fmt_float(v.imag)),
      _flat_complex),
     (str, _json_str, str),
@@ -139,39 +144,16 @@ _ENCODERS = (
     (tuple, _json_seq, _flat_seq),
     (dict, _json_dict, None),
 )
-
-
-def _encoder_type(kind):
-    """The class of an `_ENCODERS` row; () (no class) for a class named by a
-    string whose module is not loaded."""
-    if not isinstance(kind, str):
-        return kind
-    module, _, name = kind.rpartition(".")
-    return getattr(sys.modules.get(module), name, ())
-
-
-def _encoder_column(column: int):
-    """One column of the table, looked up by exact type; any other value (a
-    Fraction, an np.float64) takes its first isinstance match in table order."""
-    def subclassed(v) -> str:
-        for row in _ENCODERS:
-            if row[column] and isinstance(v, _encoder_type(row[0])):
-                return row[column](v)
-        raise TypeError(f"cannot serialize {type(v)}")
-    return {row[0]: row[column] for row in _ENCODERS
-            if row[column] and not isinstance(row[0], str)}, subclassed
-
-
-_JSON_BY_TYPE, _json_subclassed = _encoder_column(1)
-_FLAT_BY_TYPE, _flat_subclassed = _encoder_column(2)
+_JSON_BY_TYPE = {kind: json for kind, json, _ in _ENCODERS}
+_FLAT_BY_TYPE = {kind: flat for kind, _, flat in _ENCODERS if flat}
 
 
 def _json_value(v) -> str:
-    return _JSON_BY_TYPE.get(type(v), _json_subclassed)(v)
+    return _JSON_BY_TYPE.get(type(v), _unserializable)(v)
 
 
 def _flat_value(v) -> str:
-    return _FLAT_BY_TYPE.get(type(v), _flat_subclassed)(v)
+    return _FLAT_BY_TYPE.get(type(v), _unserializable)(v)
 
 
 def _table_fields(verdict, encode, join):
@@ -267,7 +249,7 @@ def _csv_rows(rows, write) -> None:
 def _parse_complex(text: str) -> complex:
     """`a`, `bi`, `a+bi` or `(a+bi)` as a complex number.  Only a trailing
     imaginary unit becomes Python's `j`, so `inf` and `nan` parse, and
-    `_finite_complex` or the handlers reject them as non-finite."""
+    `_finite_complex` rejects them as non-finite."""
     cleaned = text.strip().replace(" ", "")
     try:
         return complex(re.sub(r"i(\)?)$", r"j\1", cleaned))
@@ -422,12 +404,15 @@ def _cmd_family(args) -> list[dict]:
 def _cmd_picard_genus(args) -> list[dict]:
     from . import picard  # the only handler that needs it
 
+    def exact(q):  # an exact genus as an int when integral, else the text "p/q"
+        return q.numerator if q.denominator == 1 else str(q)
+
     d = picard.DivisorClass.from_coefficients(args.cls)
     d_squared = d.self_intersection
     k_pairing = d.dot(picard.canonical_class())
-    genus = picard.adjunction_genus(d)
+    genus = exact(picard.adjunction_genus(d))
     parity_ok = d_squared % 2 == 0
-    tilde = picard.tilde_genus(d) if parity_ok else None
+    tilde = exact(picard.tilde_genus(d)) if parity_ok else None
     row = {
         "inputs": {"class": list(args.cls)},
         "derived": {
@@ -512,9 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("legendre", help="quasi-period constants and Legendre defect")
-    p.add_argument("--omega1", type=_parse_complex, required=True)
-    p.add_argument("--omega2", type=_parse_complex, required=True)
-    p.add_argument("--precision", type=float, default=1e-12)
+    p.add_argument("--omega1", type=_finite_complex, required=True)
+    p.add_argument("--omega2", type=_finite_complex, required=True)
+    p.add_argument("--precision", type=_tolerance, default=1e-12)
     p.set_defaults(handler=_cmd_legendre)
 
     p = sub.add_parser("enumerate-types", help="all admissible types for (n, d)")
@@ -553,12 +538,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_picard_genus)
 
     p = sub.add_parser("verify-kdv", help="residual, periodicity and monodromy defects")
-    p.add_argument("--omega1", type=_parse_complex, required=True)
-    p.add_argument("--omega2", type=_parse_complex, required=True)
+    p.add_argument("--omega1", type=_finite_complex, required=True)
+    p.add_argument("--omega2", type=_finite_complex, required=True)
     p.add_argument("--lambda", dest="lam", type=_finite_complex, default=0j)
     p.add_argument("--x0", type=_finite_complex, default=0j)
     p.add_argument("--grid", type=_parse_ints(2), default=None, metavar="NX,NT")
-    p.add_argument("--precision", type=float, default=1e-12)
+    p.add_argument("--precision", type=_tolerance, default=1e-12)
     p.add_argument("--residual-tol", type=_tolerance, default=1e-6,
                    help="absolute bound on the KdV residual and the backend gap, "
                    "calibrated for |2*omega1| near 2*pi (default 1e-6)")
@@ -577,15 +562,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        rows = args.handler(args)  # bad input raises here, before any byte is written
-    except (EllcoverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:  # a float over- or underflow at an extreme scale
-        print(f"error: out of floating-point range ({type(exc).__name__}: {exc})",
-              file=sys.stderr)
-        return 2
     write_rows = _json_rows if getattr(args, "format", "json") == "json" else _csv_rows
     output = getattr(args, "output", None)
     all_admissible = True
@@ -597,15 +573,22 @@ def run(argv=None) -> int:
             yield row
 
     try:
+        rows = checked(args.handler(args))  # bad input raises here, before any byte is written
         if output:
             with open(output, "w") as fh:
-                write_rows(checked(rows), fh.write)
+                write_rows(rows, fh.write)
         else:
-            write_rows(checked(rows), sys.stdout.write)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0 if all_admissible else 1
+            write_rows(rows, sys.stdout.write)
+    except (EllcoverError, ValueError, OSError) as exc:  # OSError: a failed write
+        error = exc
+    except ArithmeticError as exc:  # a float over- or underflow at an extreme scale
+        error = f"out of floating-point range ({type(exc).__name__}: {exc})"
+    except MemoryError as exc:  # an array or a table too large for this machine
+        error = f"out of memory ({type(exc).__name__}: {exc})"
+    else:
+        return 0 if all_admissible else 1
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

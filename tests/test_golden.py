@@ -49,6 +49,7 @@ COMMANDS = {
     "family-6.17": (0, ("family", "--theorem", "6.17", "--alpha", "1,0,1,1", "--j0", "1")),
     "family-6.18": (0, ("family", "--theorem", "6.18", "--alpha", "0,0,0,0")),
     "picard-genus": (0, ("picard-genus", "--class", "3,1,-1,0,0,0,-2,-1,-1,-1")),
+    "picard-genus-half": (0, ("picard-genus", "--class", "0,1,0,0,0,0,-2,0,0,0")),
 }
 
 
