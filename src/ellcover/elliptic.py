@@ -27,11 +27,14 @@ geometric tail bound picks the series order from the requested precision.
 wp, wp' and zeta share one kernel: the two rows nearest z in closed form,
 every other row through a Lambert series whose coefficients are fixed per
 lattice, so a point costs one exponential, three divisions and one small
-matrix product.  Points run in blocks that keep the power table near 1 MB,
-and each block does all of its work, from the reduction into the cell to
-its finished values, in one-block buffers, so no value depends on the
-length of its array; see `Lattice._evaluate`.  A brute-force truncated
-lattice sum is kept as an independent cross-check in `elliptic_reference`.
+matrix product.  zeta needs no quasi-period first: its linear term takes z
+itself, and Legendre's relation turns each shift by q2 into -2*pi*i/q1.
+Points run in blocks that keep the power table near 1 MB, and each block
+does all of its work, from the reduction into the cell to its finished
+values, in one-block buffers, so an array's values are its blocks' values
+(the last points of a short last block can move by a few ulps); see
+`Lattice._evaluate`.  A brute-force truncated lattice sum is kept as an
+independent cross-check in `elliptic_reference`.
 
 Half-period representatives are fixed once and indexed 0..3:
 
@@ -112,17 +115,6 @@ def _inverse_basis(p1: complex, p2: complex):
     return (p2.imag / det, -p2.real / det, -p1.imag / det, p1.real / det)
 
 
-def _split(arr: np.ndarray, p1: complex, p2: complex):
-    """Reduce arr into the centered cell of the basis (p1, p2); return the
-    representative and the integer shift coordinates."""
-    c11, c12, c21, c22 = _inverse_basis(p1, p2)
-    m = np.round(c11 * arr.real + c12 * arr.imag)
-    n = np.round(c21 * arr.real + c22 * arr.imag)
-    out = arr - m * p1
-    out -= n * p2
-    return out, m, n
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Rank-2 period lattice spanned by 2*omega1 and 2*omega2.
@@ -131,7 +123,8 @@ class Lattice:
     value f of wp, wp' or zeta at a point of the reduced cell by
     precision * (|f| + (pi/L)^k), where L is the shortest period and k is
     2, 3 or 1 respectively; half-periods, cell edges and points just outside
-    the pole-exclusion radius included.
+    the pole-exclusion radius included.  At m*q1 + n*q2 off that cell (the
+    reduced basis), zeta's bound is precision * (|f| + (pi/L)*(1 + |m| + |n|)).
     """
 
     omega1: complex
@@ -252,13 +245,6 @@ class Lattice:
         return 1.0 / 3.0 - 8.0 * complex(self._lambert[1, : 2 * self._rows : 2].sum())
 
     @cached_property
-    def _reduced_quasi(self) -> tuple[complex, complex]:
-        """Quasi-period constants of the *reduced* basis vectors."""
-        q1, q2 = self._reduced
-        half = self._evaluate(np.array([q1 / 2.0, q2 / 2.0]), "zeta", in_cell=True)
-        return 2.0 * complex(half[0]), 2.0 * complex(half[1])
-
-    @cached_property
     def _quasi(self) -> tuple[QuasiPeriods, float]:
         """The quasi-period constants and their Legendre relation defect."""
         eta1, eta2 = (2.0 * zeta(self, np.array([self.omega1, self.omega2]))).tolist()
@@ -272,16 +258,13 @@ class Lattice:
 
     # -- the kernel ----------------------------------------------------------
 
-    def _evaluate(self, z, name: str, in_cell: bool = False) -> np.ndarray:
+    def _evaluate(self, z, name: str) -> np.ndarray:
         """The function `name` ("wp", "wp_prime" or "zeta") at z, shaped like z.
 
         z is reduced into the centered cell of the reduced basis (q1, q2) as
-        zr = z - m*q1 - n*q2, and zeta adds the exact correction
-        m*eta(q1) + n*eta(q2) of `_reduced_quasi`.  Raises ValueError for a
-        non-finite point, before any work, and PoleProximity for a point
-        within `pole_radius` of a lattice point, naming the nearest distance.
-        in_cell=True takes z as finite, off-pole points of the cell, with no
-        check, reduction or correction.
+        zr = z - m*q1 - n*q2.  Raises ValueError for a non-finite point,
+        before any work, and PoleProximity for a point within `pole_radius`
+        of a lattice point, naming the nearest distance.
 
         Row n = -inf..inf of the lattice sum contributes csc^2 and cot of
         v + n*pi*tau, with v = pi*zr/q1 reflected into Im v >= 0 (parity
@@ -302,13 +285,18 @@ class Lattice:
         with the per-lattice `_lambert` matrix adds it all up.  Per point
         that is one exponential and three divisions, however many rows.
 
+        zeta is a q1-periodic cot part plus k^2*c*zr, k = pi/q1 and
+        c = `_row_constant`, so eta(q1) = k^2*c*q1 (DLMF 23.8) and Legendre's
+        relation (DLMF 23.2.14) gives eta(q2) = k^2*c*q2 - 2*pi*i/q1: the
+        correction m*eta(q1) + n*eta(q2) folds into the linear term, which
+        takes z itself, and each shift by q2 adds -2*pi*i/q1.
+
         Layout.  The points run in blocks of `_block` points from index 0 (a
         power table near 1 MB).  Each block is reduced, checked against the
         poles, reflected, exponentiated, tabled, summed by one `np.dot` and
-        finished (zeta's correction included) straight into the output, the
-        only array as long as z; every other buffer holds one block and is
-        made once per call.  Nothing is kept between calls, so a Lattice
-        stays safe for concurrent use.
+        finished straight into the output, the only array as long as z;
+        every other buffer holds one block and is made once per call, and
+        nothing is kept between calls, so a Lattice is safe to share.
 
         numpy (2.4) rounds a row of np.dot by the row count of its block, a
         complex product by its operand order and by whether its output is an
@@ -317,10 +305,11 @@ class Lattice:
         blocks keep their boundaries, every product its written order, only
         the exact reflection and factor 2i run in place, and a block holds
         at most _BLOCK_ELEMS // (2*6 + 6) = 3,640 points (at the fewest rows,
-        6): no value depends on how many points share the call.
+        6): an array's values are its blocks' values, but the final points
+        of a short last block can move by a few ulps against a longer array.
         """
         arr = np.asarray(z, dtype=complex)
-        if not (in_cell or np.isfinite(arr).all()):
+        if not np.isfinite(arr).all():
             raise ValueError("evaluation points must be finite")
         q1, q2 = self._reduced
         c11, c12, c21, c22 = self._coordinates
@@ -341,30 +330,27 @@ class Lattice:
         table = np.empty(2 * height * width, complex)
         ds, ws = np.empty(2 * width, complex), np.empty(width, complex)
         parity, rs = np.empty(width), np.empty(width)
-        if not in_cell:
-            cells, ms, ns = np.empty(width, complex), np.empty(width), np.empty(width)
+        cells, ms, ns = np.empty(width, complex), np.empty(width), np.empty(width)
         closest = math.inf
         for lo in range(0, size, width):
             nb = min(width, size - lo)
             blk, own = slice(lo, lo + nb), slice(0, nb)  # the block in z and out, and in a buffer
             w, r, sign = ws[own], rs[own], parity[own]
-            if in_cell:
-                zr = flat[blk]
-            else:  # zr = z - m*q1 - n*q2, each step as in `_split` (rint is round)
-                pts, zr, m, n = flat[blk], cells[own], ms[own], ns[own]
-                re, im = pts.real, pts.imag
-                np.multiply(c11, re, out=m)
-                m += np.multiply(c12, im, out=r)
-                np.rint(m, out=m)
-                np.multiply(c21, re, out=n)
-                n += np.multiply(c22, im, out=r)
-                np.rint(n, out=n)
-                np.multiply(m, q1, out=zr)
-                np.subtract(pts, zr, out=zr)
-                zr -= np.multiply(n, q2, out=w)
-                closest = min(closest, np.minimum.reduce(np.abs(zr, out=r)))
-                if closest < self.pole_radius:
-                    continue  # the other blocks are only reduced, for the message
+            # zr = z - m*q1 - n*q2, each step as in `reduce` (rint is round)
+            pts, zr, m, n = flat[blk], cells[own], ms[own], ns[own]
+            re, im = pts.real, pts.imag
+            np.multiply(c11, re, out=m)
+            m += np.multiply(c12, im, out=r)
+            np.rint(m, out=m)
+            np.multiply(c21, re, out=n)
+            n += np.multiply(c22, im, out=r)
+            np.rint(n, out=n)
+            np.multiply(m, q1, out=zr)
+            np.subtract(pts, zr, out=zr)
+            zr -= np.multiply(n, q2, out=w)
+            closest = min(closest, np.minimum.reduce(np.abs(zr, out=r)))
+            if closest < self.pole_radius:
+                continue  # the other blocks are only reduced, for the message
             np.multiply(k, zr, out=w)  # v, then 2iv, in place
             np.copysign(1.0, w.imag, out=sign)
             w *= sign
@@ -397,11 +383,8 @@ class Lattice:
             elif name == "wp_prime":
                 out[blk] = sign * (-8j * k**3) * sums
             else:
-                val = sign * (-1j * k) * (1.0 + 2.0 * sums) + k**2 * self._row_constant * zr
-                if not in_cell:
-                    er1, er2 = self._reduced_quasi
-                    val = val + m * er1 + n * er2
-                out[blk] = val
+                out[blk] = (sign * (-1j * k) * (1.0 + 2.0 * sums)
+                            + k**2 * self._row_constant * pts - n * (TWO_PI_I / q1))
         if closest < self.pole_radius:
             raise PoleProximity(
                 f"point within {float(closest):.3e} of a lattice point "
@@ -421,10 +404,16 @@ def reduce(lattice: Lattice, z):
     """Translate z by lattice vectors into the fundamental cell centered at 0.
 
     The result has coordinates in [-1/2, 1/2] with respect to the basis
-    (2*omega1, 2*omega2) as given (no internal re-basing).
+    (2*omega1, 2*omega2) as given (no internal re-basing).  Raises
+    ValueError for a non-finite point, as the kernel does.
     """
     arr = np.asarray(z, dtype=complex)
-    out, _, _ = _split(arr, *lattice.periods)
+    if not np.isfinite(arr).all():
+        raise ValueError("evaluation points must be finite")
+    p1, p2 = lattice.periods
+    c11, c12, c21, c22 = _inverse_basis(p1, p2)
+    out = arr - np.round(c11 * arr.real + c12 * arr.imag) * p1
+    out -= np.round(c21 * arr.real + c22 * arr.imag) * p2
     return complex(out) if arr.ndim == 0 else out
 
 
@@ -443,8 +432,9 @@ def wp_prime(lattice: Lattice, z):
 def zeta(lattice: Lattice, z):
     """Weierstrass zeta function, quasi-periodic with constants eta1, eta2.
 
-    Arbitrary arguments are handled by reduction plus the exact additive
-    correction m*eta(q1) + n*eta(q2) for the reduced basis.
+    Arbitrary arguments are reduced into the cell; the linear term takes the
+    point itself and each shift by the reduced q2 adds -2*pi*i/q1 (Legendre's
+    relation), which is the quasi-period correction.
     """
     out = lattice._evaluate(z, "zeta")
     return complex(out) if out.ndim == 0 else out

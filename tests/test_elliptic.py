@@ -131,7 +131,7 @@ def test_wp_pole_proximity(square):
         zeta(square, 5e-4 + 5e-4j)
 
 
-@pytest.mark.parametrize("f", [wp, wp_prime, zeta])
+@pytest.mark.parametrize("f", [wp, wp_prime, zeta, reduce])
 @pytest.mark.parametrize(
     "z",
     [math.nan, math.inf, complex(0.1, math.nan), complex(-math.inf, 0.2),
@@ -216,6 +216,21 @@ def test_quasi_periods_deterministic(square):
     a = quasi_periods(square)
     b = quasi_periods(Lattice(0.5, 0.5j))
     assert (a.eta1, a.eta2) == (b.eta1, b.eta2)
+
+
+def test_quasi_periods_take_one_kernel_call(monkeypatch):
+    # eta1 and eta2 come from one zeta call at (omega1, omega2); zeta's
+    # correction needs no quasi-period evaluated first
+    calls = []
+    kernel = Lattice._evaluate
+
+    def counted(self, z, name):
+        calls.append(name)
+        return kernel(self, z, name)
+
+    monkeypatch.setattr(Lattice, "_evaluate", counted)
+    quasi_periods(Lattice(0.7 + 0.1j, 0.2 + 1.3j))
+    assert calls == ["zeta"]
 
 
 # -- property tests over random lattices ---------------------------------------
@@ -391,6 +406,36 @@ def _assert_contract(lat, pts):
             assert abs(got[i] - w) <= lat.tolerance * (abs(w) + scale**k), (f.__name__, z)
 
 
+#: A basis far from reduced, whose reduced first period is not real.
+SKEW_GIVEN = (0.4 + 0.3j, (0.4 + 0.3j) * complex(-2.7, 0.35), 1e-12)
+
+
+@pytest.mark.parametrize("omega1, omega2, precision",
+                         list(HARD_LATTICES.values()) + [SKEW_GIVEN],
+                         ids=list(HARD_LATTICES) + ["skew-given"])
+def test_zeta_outside_the_cell_meets_its_contract(omega1, omega2, precision):
+    # z = a*q1 + b*q2 + m*q1 + n*q2, up to five reduced periods away; the
+    # documented bound grows with the shift as (pi/L)*(1 + |m| + |n|)
+    mpmath = pytest.importorskip("mpmath")
+    lat = Lattice(omega1, omega2, precision)
+    q1, q2 = lat._reduced
+    box = Lattice(q1 / 2, q2 / 2)
+    scale = math.pi / lat.shortest_vector
+    rng = np.random.default_rng(4000)
+    ab = rng.uniform(-0.45, 0.45, (2, 12))
+    ab = ab[:, np.abs(ab[0] * q1 + ab[1] * q2) > 0.05 * lat.shortest_vector]
+    mn = rng.integers(-5, 6, (2, ab.shape[1]))
+    mn[:, :4] = [[5, -5, 5, -5], [5, 5, -5, -5]]
+    z = (ab[0] + mn[0]) * q1 + (ab[1] + mn[1]) * q2
+    got = zeta(lat, z)
+    dps = 30 + math.ceil(box._tau.imag)
+    for i, (m, n) in enumerate(mn.T):
+        with mpmath.workdps(dps):
+            want = _theta_oracle(mpmath, box, z[i])[2]
+        bound = lat.tolerance * (abs(want) + scale * (1 + abs(m) + abs(n)))
+        assert abs(got[i] - want) <= bound, (z[i], m, n)
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_kernel_contract_on_random_lattices(seed):
     # Im(tau) log-uniform over [sqrt(3)/2, 150], precision over [1e-12, 1e-6],
@@ -552,7 +597,7 @@ def test_zeta_quasi_periodicity_across_blocks():
 
 def _spread_points(seed: int, count: int) -> np.ndarray:
     """Interior points shifted by up to three periods each way, so that the
-    reduction and zeta's correction act."""
+    reduction acts and zeta's linear and q2-shift terms take the shift."""
     rng = np.random.default_rng(seed)
     p1, p2 = BLOCKED.periods
     m, n = rng.integers(-3, 4, (2, count))
