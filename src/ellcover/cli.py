@@ -16,7 +16,8 @@ chunks of rows and then dropped; no table is held whole or joined into one
 string.  Within one table each verdict object is encoded once, and a field
 that is the same object as on the previous row (a shared inputs dict) is
 encoded once.  Bad input raises in the handler, before any byte is written.
-`run` derives the exit code from the verdicts during the write:
+The writer judges each distinct verdict object once, as it first encodes
+it, and `run` takes the exit code from that judgement, with no second pass:
 0 when every verdict holds or is informational, else 1; 2 for a usage or
 numeric error, running out of memory or a failed write.  Only check-cover,
 picard-genus and verify-kdv can exit 1: the other tables hold by
@@ -91,8 +92,18 @@ def _json_str(v: str) -> str:
     return f'"{v}"'
 
 
-# keys recur on every row; typed, so that True and 1.0 stay apart
-_json_key = functools.lru_cache(maxsize=256, typed=True)(lambda k: _json_str(str(k)))
+class _JsonHeads(dict):
+    """'"key": ' by key, for the few keys that recur on every row.  Only str
+    keys are kept, so that True and 1.0 stay apart."""
+
+    def __missing__(self, k) -> str:
+        head = _json_str(str(k)) + ": "
+        if type(k) is str:
+            self[k] = head
+        return head
+
+
+_JSON_HEADS = _JsonHeads()
 
 
 def _json_seq(v) -> str:
@@ -100,7 +111,7 @@ def _json_seq(v) -> str:
 
 
 def _json_dict(v) -> str:
-    return "{" + ", ".join([f"{_json_key(k)}: {_JSON_BY_TYPE.get(type(x), _unserializable)(x)}"
+    return "{" + ", ".join([_JSON_HEADS[k] + _JSON_BY_TYPE.get(type(x), _unserializable)(x)
                             for k, x in v.items()]) + "}"
 
 
@@ -156,89 +167,93 @@ def _flat_value(v) -> str:
     return _FLAT_BY_TYPE.get(type(v), _unserializable)(v)
 
 
-def _table_fields(verdict, encode, join):
-    """The field encoder of one table write: field(key, v) is encode(key, v),
-    or join(key, texts) for "verdicts", with each text from verdict(x).
+class _VerdictMemo:
+    """The verdict texts of one table write, and its exit-code judgement.
 
-    A field that is the same object as on the previous row (a shared inputs
-    dict) reuses that row's text, so rows must not change an object they
-    share.  Each verdict is encoded once, memoised by identity, not equality:
+    Each verdict is encoded once, memoised by identity, not equality:
     Verdict("c", True, 1, 1) == Verdict("c", True, True, 1), yet the two
     encode differently.  The memo holds every verdict it keys, so no id is
-    reused while the table is written, though streamed rows are dropped."""
-    last: dict = {}  # key -> (object, text) on the previous row
-    texts: dict[int, str] = {}
-    held = []  # the verdicts keyed in texts
+    reused while the table is written, though streamed rows are dropped.
+    A verdict is judged as it is first encoded: `admissible` stays True while
+    every verdict holds or is informational."""
 
-    def field(key, v):
-        prev = last.get(key)
-        if prev is not None and prev[0] is v:
-            return prev[1]
-        if key == "verdicts":
-            parts = [*map(texts.get, map(id, v))]
-            if None in parts:
-                for i, x in enumerate(v):
-                    if parts[i] is None:
-                        parts[i] = texts[id(x)] = verdict(x)
-                        held.append(x)
-            text = join(key, parts)
-        else:
-            text = encode(key, v)
-        last[key] = (v, text)
+    __slots__ = ("encode", "texts", "held", "admissible")
+
+    def __init__(self, encode) -> None:
+        self.encode, self.texts, self.held, self.admissible = encode, {}, [], True
+
+    def __call__(self, verdicts) -> list[str]:
+        parts = [*map(self.texts.get, map(id, verdicts))]
+        if None in parts:
+            parts = [self._first(v) if p is None else p for p, v in zip(parts, verdicts)]
+        return parts
+
+    def _first(self, v) -> str:
+        text = self.texts[id(v)] = self.encode(v)
+        self.held.append(v)
+        if not (v.ok or v.informational):
+            self.admissible = False
         return text
-
-    return field
 
 
 # rows per write call: a few hundred KB of enumerate-types text
 _CHUNK_ROWS = 256
 
-# "    key: " opening each field of a JSON row
-_json_head = functools.lru_cache(maxsize=256, typed=True)(lambda k: f"    {_json_key(k)}: ")
 
-
-def _json_rows(rows, write) -> None:
-    field = _table_fields(
-        _json_value,
-        lambda key, v: _json_head(key) + _json_value(v),
-        lambda key, parts: _json_head(key) + "[" + ", ".join(parts) + "]",
-    )
+# Each writer returns its memo's judgement.  A field that is the same object as on the previous
+# row (a shared inputs dict) reuses that row's text, so rows must not change an object they share.
+def _json_rows(rows, write) -> bool:
+    verdicts = _VerdictMemo(_json_value)
+    last: dict = {}  # key -> (object, text) on the previous row
     chunk, opening = ["["], "\n  {\n"
     for row in rows:
-        chunk.append(opening + ",\n".join([field(k, v) for k, v in row.items()]) + "\n  }")
+        fields = []
+        for key, v in row.items():
+            prev = last.get(key)
+            if prev is None or prev[0] is not v:
+                text = "[" + ", ".join(verdicts(v)) + "]" if key == "verdicts" else _json_value(v)
+                prev = last[key] = (v, "    " + _JSON_HEADS[key] + text)
+            fields.append(prev[1])
+        chunk.append(opening + ",\n".join(fields) + "\n  }")
         opening = ",\n  {\n"
         if len(chunk) >= _CHUNK_ROWS:
             write("".join(chunk))
             chunk.clear()
     chunk.append("]\n" if opening == "\n  {\n" else "\n]\n")
     write("".join(chunk))
+    return verdicts.admissible
 
 
-def _csv_rows(rows, write) -> None:
+def _csv_rows(rows, write) -> bool:
     import csv  # here, so that a JSON table never loads it
 
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
-        return
+        return True
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"{s}.{k}" for s in ("inputs", "derived") for k in first.get(s, {})]
                     + ["verdicts"])
-    field = _table_fields(
-        _flat_value,
-        lambda key, v: [*map(_flat_value, v.values())],
-        lambda key, parts: "; ".join(parts),
-    )
+    verdicts = _VerdictMemo(_flat_value)
+    last: dict = {}  # key -> (object, cells) on the previous row
     for i, row in enumerate(itertools.chain((first,), rows), 1):
-        writer.writerow([*field("inputs", row.get("inputs", {})),
-                         *field("derived", row.get("derived", {})),
-                         field("verdicts", row.get("verdicts", ()))])
+        cells = []
+        for key in ("inputs", "derived", "verdicts"):
+            v = row.get(key, {})
+            prev = last.get(key)
+            if prev is None or prev[0] is not v:
+                prev = last[key] = (v, ["; ".join(verdicts(v))] if key == "verdicts" else
+                                    [_FLAT_BY_TYPE.get(type(x), _unserializable)(x)
+                                     for x in v.values()])
+            cells += prev[1]
+        writer.writerow(cells)
         if i % _CHUNK_ROWS == 0:
             write(buf.getvalue())
             buf.seek(0)
             buf.truncate()
     write(buf.getvalue())
+    return verdicts.admissible
 
 
 # ---------------------------------------------------------------------------
@@ -564,21 +579,13 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     write_rows = _json_rows if getattr(args, "format", "json") == "json" else _csv_rows
     output = getattr(args, "output", None)
-    all_admissible = True
-
-    def checked(rows):  # the exit code, derived as the rows are written
-        nonlocal all_admissible
-        for row in rows:
-            all_admissible = all_admissible and inv.admissible(row["verdicts"])
-            yield row
-
     try:
-        rows = checked(args.handler(args))  # bad input raises here, before any byte is written
+        rows = args.handler(args)  # bad input raises here, before any byte is written
         if output:
             with open(output, "w") as fh:
-                write_rows(rows, fh.write)
+                admissible = write_rows(rows, fh.write)
         else:
-            write_rows(rows, sys.stdout.write)
+            admissible = write_rows(rows, sys.stdout.write)
     except (EllcoverError, ValueError, OSError) as exc:  # OSError: a failed write
         error = exc
     except ArithmeticError as exc:  # a float over- or underflow at an extreme scale
@@ -586,7 +593,7 @@ def run(argv=None) -> int:
     except MemoryError as exc:  # an array or a table too large for this machine
         error = f"out of memory ({type(exc).__name__}: {exc})"
     else:
-        return 0 if all_admissible else 1
+        return 0 if admissible else 1
     print(f"error: {error}", file=sys.stderr)
     return 2
 

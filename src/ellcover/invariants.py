@@ -226,7 +226,8 @@ def violations(verdicts: Iterable[Verdict]) -> list[Verdict]:
 
 
 def _bound(clause: str, lhs: int, rhs: int, informational: bool = False) -> Verdict:
-    return Verdict(clause, lhs <= rhs, lhs, rhs, informational)
+    # the tuple constructor: most verdicts are built here or in _m_divides
+    return tuple.__new__(Verdict, (clause, lhs <= rhs, lhs, rhs, informational))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,8 @@ def _bound(clause: str, lhs: int, rhs: int, informational: bool = False) -> Verd
 def _m_divides(n: int, d: int, rho: int, m: int, gamma: Vec4) -> Verdict:
     """Clause 5.4(4): m divides n, 2d - 1, rho and every gamma_i."""
     rhs = (n, 2 * d - 1, rho, *gamma)
-    return Verdict("5.4(4) m divides", not any([x % m for x in rhs]), m, rhs)
+    ok = m == 1 or not any([x % m for x in rhs])
+    return tuple.__new__(Verdict, ("5.4(4) m divides", ok, m, rhs, False))
 
 
 def evaluate_kdv(inv: CoverInvariants) -> list[Verdict]:
@@ -417,10 +419,12 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
     Rows share n, d, rho = m = 1, gamma^(2) = T and the parity pattern, so
     only 5.4(4) (its rhs lists gamma) needs more than gamma^(1): evaluate_kdv
     runs once per gamma^(1), and later rows reuse its verdicts (the same
-    objects) with their own 5.4(4).  Each row is a NamedTuple record holding
-    a TypeVector built without re-checking, so a table of tens of thousands
-    of types costs little more than the search; `enumerate-types` streams
-    its rows from this list.
+    objects) with their own 5.4(4).  Each row is an EnumeratedType built by
+    `tuple.__new__`, holding a TypeVector built as `TypeVector._trusted` does
+    (no re-check), which the first row of a gamma^(1) also evaluates; 5.4(4)
+    and the bounds build their Verdicts by `tuple.__new__` too.  So a table of
+    tens of thousands of types costs little more than the search;
+    `enumerate-types` streams its rows from this list.
     """
     n, d = _integers("n, d", (n, d), 2, 1)
     target = type_square_target(n, d)
@@ -435,6 +439,7 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
             pairs.setdefault(s, []).append((g2, g3))
     out = []
     shared: dict[int, tuple[Verdict, ...]] = {}  # gamma^(1) -> verdicts
+    new_tuple, new_object, set_gamma = tuple.__new__, object.__new__, TypeVector.gamma.__set__
     for g0 in range((n + 1) % 2, top + 1, 2):
         budget0 = target - g0 * g0
         for g1 in rest:
@@ -442,7 +447,9 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
             if budget1 < 0:
                 break
             for g2, g3 in pairs.get(budget1, ()):
-                gamma = TypeVector._trusted((g0, g1, g2, g3))
+                ints = (g0, g1, g2, g3)
+                gamma = new_object(TypeVector)  # TypeVector._trusted(ints), inlined
+                set_gamma(gamma, ints)
                 total = g0 + g1 + g2 + g3
                 genus = (total - 1) // 2
                 first = shared.get(total)
@@ -450,8 +457,8 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
                     inv = CoverInvariants(n=n, d=d, g=genus, rho=1, m=1, gamma=gamma)
                     verdicts = shared[total] = tuple(evaluate_kdv(inv))
                 else:  # 5.4(4) is evaluate_kdv's second verdict
-                    verdicts = (first[0], _m_divides(n, d, 1, 1, gamma.gamma), *first[2:])
-                out.append(EnumeratedType(gamma, genus, verdicts))
+                    verdicts = (first[0], _m_divides(n, d, 1, 1, ints), *first[2:])
+                out.append(new_tuple(EnumeratedType, (gamma, genus, verdicts)))
     return out
 
 

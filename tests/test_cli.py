@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ellcover import cli
+from ellcover import invariants as inv
 from ellcover.cli import _csv_rows, _flat_value, _json_rows, _json_value
 from ellcover.invariants import Placement, Verdict
 from test_golden import COMMANDS as GOLDEN_COMMANDS
@@ -382,19 +383,33 @@ def test_byte_identical_reruns(args):
 
 
 PI = "3.141592653589793"
-# (exit code, argv): every golden command, the numeric subcommands, and a
-# violated table for each subcommand that can exit 1; goldens added later are
-# appended at the end, so that every earlier case keeps its id
-LATER_GOLDENS = ("picard-genus-half",)
-EXIT_CODES = sorted(v for k, v in GOLDEN_COMMANDS.items() if k not in LATER_GOLDENS) + [
-    (0, ("legendre", "--omega1", "0.7", "--omega2", "0.21+0.91i")),
-    (0, ("verify-kdv", "--omega1", PI, "--omega2", PI + "i", "--grid", "40,8")),
-    (1, ("check-cover", "--case", "kdv", "--n", "3", "--d", "1", "--g", "3",
-         "--gamma", "2,1,1,1")),
-    (1, ("picard-genus", "--class", "3,1,-1,0,0,0,-1,-1,-1,-1")),
-    (1, ("verify-kdv", "--omega1", PI, "--omega2", PI + "i", "--grid", "40,8",
-         "--residual-tol", "0")),
-] + [GOLDEN_COMMANDS[name] for name in LATER_GOLDENS]
+# every golden command, the numeric subcommands, and a violated table for each subcommand that
+# can exit 1.  Each case's id is fixed, so adding a case renames none: the cases below keep the
+# positional ids they were first printed with, and a new golden takes its golden name.
+FIRST_IDS = {  # golden name -> id
+    "check-cover-kdv": "0-argv0", "check-cover-kdv-rho3": "0-argv1",
+    "check-cover-nls-same-even": "0-argv2", "check-cover-nls": "0-argv3",
+    "check-cover-nls-same-odd": "0-argv4", "check-cover-sg": "0-argv5",
+    "check-cover-sg-same-even": "0-argv6", "check-cover-sg-same-odd": "0-argv7",
+    "construct-68": "0-argv8", "enumerate-types-n40-d3": "0-argv9",
+    "enumerate-types-n6-d2": "0-argv10", "family-6.13-half-period": "0-argv11",
+    "family-6.14-half-period": "0-argv12", "family-6.14": "0-argv13", "family-6.15": "0-argv14",
+    "family-6.16": "0-argv15", "family-6.17": "0-argv16", "family-6.18": "0-argv17",
+    "picard-genus": "0-argv18", "check-cover-sg-half-periods-violated": "1-argv19",
+    "picard-genus-half": "0-argv25",
+}
+EXIT_CODES = [pytest.param(*command, id=FIRST_IDS.get(name, name))
+              for name, command in GOLDEN_COMMANDS.items()]
+EXIT_CODES += [
+    pytest.param(0, ("legendre", "--omega1", "0.7", "--omega2", "0.21+0.91i"), id="0-argv20"),
+    pytest.param(0, ("verify-kdv", "--omega1", PI, "--omega2", PI + "i", "--grid", "40,8"),
+                 id="0-argv21"),
+    pytest.param(1, ("check-cover", "--case", "kdv", "--n", "3", "--d", "1", "--g", "3",
+                     "--gamma", "2,1,1,1"), id="1-argv22"),
+    pytest.param(1, ("picard-genus", "--class", "3,1,-1,0,0,0,-1,-1,-1,-1"), id="1-argv23"),
+    pytest.param(1, ("verify-kdv", "--omega1", PI, "--omega2", PI + "i", "--grid", "40,8",
+                     "--residual-tol", "0"), id="1-argv24"),
+]
 
 
 @pytest.mark.parametrize("code,argv", EXIT_CODES)
@@ -406,6 +421,35 @@ def test_exit_code_is_derived_from_the_verdicts(code, argv):
     assert expected == code
     for fmt in ("json", "csv"):
         assert cli.run(["--format", fmt, *argv]) == expected
+
+
+_HOLDS, _VIOLATED = Verdict("c", True, 1, 1), Verdict("c", False, 2, 1)
+_INFORMATIONAL, _REUSED = Verdict("i", False, 2, 1, True), [_HOLDS, Verdict("c", False, 3, 1)]
+WRITER_JUDGEMENTS = {
+    "shared-violated": [{"inputs": {"k": k}, "verdicts": [_HOLDS, _VIOLATED]} for k in range(3)],
+    "shared-then-violated": [{"inputs": {"k": 0}, "verdicts": [_HOLDS]},
+                             {"inputs": {"k": 1}, "verdicts": (_HOLDS, _VIOLATED)}],
+    "previous-row-verdicts": [{"inputs": {"k": k}, "verdicts": _REUSED} for k in range(2)],
+    "previous-row-verdicts-hold": [{"inputs": {"k": k}, "verdicts": _REUSED[:1]}
+                                   for k in range(2)],
+    "informational": [{"inputs": {"k": 0}, "derived": {"x": 1.5},
+                       "verdicts": [_HOLDS, _INFORMATIONAL]}],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("write_rows", [_json_rows, _csv_rows])
+@pytest.mark.parametrize("case", sorted(WRITER_JUDGEMENTS))
+def test_writers_return_the_exit_code_judgement(case, write_rows):
+    # each distinct verdict object is judged once, as the writer first encodes it; the
+    # answer is admissible() over every row, whether a verdict object recurs in later
+    # rows or a row's whole verdicts object is the previous row's
+    rows = WRITER_JUDGEMENTS[case]
+    expected = all(inv.admissible(row["verdicts"]) for row in rows)
+    assert expected is (case not in ("shared-violated", "shared-then-violated",
+                                     "previous-row-verdicts"))
+    text = []
+    assert write_rows(iter(rows), text.append) is expected
 
 
 MISPLACED_FLAGS = [
@@ -776,11 +820,11 @@ def test_out_of_memory_in_a_handler_is_numeric_error(monkeypatch, capsys):
 def test_out_of_memory_while_rows_are_written_is_numeric_error(fmt, monkeypatch, capsys):
     admissible, calls = cli.inv.admissible, []
 
-    def admissible_until_row_500(verdicts):  # called by the row generator, then by run
+    def admissible_until_row_1000(verdicts):  # called once per row, by the row generator
         calls.append(None)
         return _out_of_memory() if len(calls) > 1000 else admissible(verdicts)
 
-    monkeypatch.setattr(cli.inv, "admissible", admissible_until_row_500)
+    monkeypatch.setattr(cli.inv, "admissible", admissible_until_row_1000)
     assert cli.run(["--format", fmt, "enumerate-types", "--n", "500", "--d", "20"]) == 2
     out, err = capsys.readouterr()
     assert out != "" and err == OUT_OF_MEMORY  # the chunks written before it stay written

@@ -138,10 +138,33 @@ def test_kdv_parity_flagged():
     assert [v.clause for v in bad] == ["5.4(5) parity"]
 
 
+# (m, n, d, rho, gamma, whether m divides n, 2d-1, rho and every gamma_i); 2d-1 is odd, so
+# no input is divisible by m = 2, and m = 1 divides every input
+DIVISIBILITY_CASES = [
+    (1, 3, 1, 1, (2, 1, 1, 1), True),
+    (1, 8, 4, 6, (0, 3, 7, 1), True),
+    (2, 4, 1, 1, (1, 0, 0, 2), False),
+    (2, 4, 2, 2, (2, 0, 0, 2), False),
+    (3, 6, 2, 3, (0, 3, 6, 3), True),
+    (3, 6, 2, 3, (0, 3, 6, 4), False),
+    (3, 4, 2, 3, (0, 3, 3, 3), False),
+    (5, 10, 3, 5, (5, 0, 10, 5), True),
+    (5, 10, 3, 1, (5, 0, 10, 5), False),
+    (5, 15, 8, 5, (0, 0, 0, 25), True),
+]
+
+
 def test_kdv_divisibility_clause():
-    # m = 2 must divide n, 2d-1, rho and every gamma_i
-    bad = check_kdv(CoverInvariants(4, 1, 1, 1, 2, TypeVector((1, 0, 0, 2))))
-    assert any(v.clause.startswith("5.4(4)") for v in bad)
+    # m must divide n, 2d-1, rho and every gamma_i; the verdict has the exact public shape
+    for m, n, d, rho, gamma, divides in DIVISIBILITY_CASES:
+        inv = CoverInvariants(n, d, 2, rho, m, TypeVector(gamma))
+        (v,) = [v for v in evaluate_kdv(inv) if v.clause == "5.4(4) m divides"]
+        assert type(v) is Verdict and type(v.ok) is bool and v.informational is False
+        assert v.ok is divides and v.lhs == m, (m, n, d, rho, gamma)
+        rhs = (n, 2 * d - 1, rho, *gamma)
+        assert type(v.rhs) is tuple and v.rhs == rhs
+        assert typed(v) == typed(Verdict("5.4(4) m divides", divides, m, rhs))
+        assert (v in check_kdv(inv)) is not divides
 
 
 def test_verdict_public_shape():
@@ -312,6 +335,8 @@ def test_sg_distinct_half_periods_example():
     assert by_clause["5.8(1) genus vs type sum"].lhs == 6
     assert by_clause["6.12(3) genus square bound"].rhs == 14
     assert by_clause["6.12(3) genus square bound"].informational
+    assert typed(by_clause["6.12(3) genus square bound"]) == typed(
+        Verdict("6.12(3) genus square bound", True, 9, 14, True))
 
 
 def test_sg_same_projection_even_degree():
@@ -463,6 +488,23 @@ def test_enumerated_rows_equal_public_records():
             assert t == public and repr(t) == repr(public), (n, d, t.gamma.gamma)
             assert hash(t.gamma) == hash(public.gamma)
             assert type(t.gamma.gamma) is tuple and all(type(x) is int for x in t.gamma)
+            assert type(t) is EnumeratedType and type(t.gamma) is TypeVector
+
+
+def test_enumerate_rows_share_the_verdicts_of_their_gamma1():
+    # rows with equal gamma^(1) share one evaluation: the same verdict object at every
+    # position but 1, while each row's 5.4(4) verdict (its rhs lists gamma) is its own
+    for n, d in [(6, 2), (40, 3), (200, 7), (1000, 20)]:
+        rows = enumerate_types(n, d)
+        first = {}
+        for t in rows:
+            shared = first.setdefault(t.gamma.total, t.verdicts)
+            assert all(v is w for i, (v, w) in enumerate(zip(t.verdicts, shared)) if i != 1)
+            assert len(t.verdicts) == len(shared)
+        assert len(first) < len(rows), (n, d)
+        own = [t.verdicts[1] for t in rows]
+        assert len({id(v) for v in own}) == len(rows), (n, d)
+        assert all(v.clause == "5.4(4) m divides" for v in own)
 
 
 def test_d1_types_are_exceptional_curve_vectors():
