@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 
 # names loaded on first access, by the module that defines them
 _LAZY = {
-    "elliptic": ("HalfPeriodIndex", "Lattice", "QuasiPeriods", "half_period",
+    "elliptic": ("HalfPeriodIndex", "Lattice", "QuasiPeriods", "half_period", "legendre_bound",
                  "legendre_defect", "quasi_periods", "reduce", "wp", "wp_prime", "zeta"),
     "kdv": ("Grid", "TravelingWave", "kdv_residual", "monodromy_factor", "periodicity_check"),
     "picard": ("DivisorClass", "TauInvariantClass", "adjunction_genus", "canonical_class",

@@ -4,7 +4,11 @@ Every subcommand emits a deterministic table, one row per result, as JSON
 (default) or CSV.  A row is {"inputs": ..., "derived": ..., "verdicts":
 [{"clause", "ok", "lhs", "rhs"}, ...]}; CSV flattens the same fields.
 Floats are printed with 12 significant digits and complex numbers as
-{"re": ..., "im": ...}, so repeated runs are byte-identical.  The
+{"re": ..., "im": ...}, so repeated runs are byte-identical.  A CSV field
+that holds a comma, a quote or a newline is wrapped in quotes with its
+quotes doubled; any other field, one holding a carriage return included, is
+written as it is, and a row of one empty field is written "" (what
+csv.writer(lineterminator="\\n") writes on CPython 3.11).  The
 serializer takes exact types only, those the handlers emit (None, bool,
 int, float, complex, str, Verdict, list, tuple, dict); any other type, a
 subclass included, is a TypeError.  picard-genus prints its exact genus
@@ -29,7 +33,7 @@ diagnostics to stderr.  There are no environment knobs.
 An integer subcommand's child loads argparse and the package's integer
 layer, never numpy or `dataclasses`: the records of `invariants` and of
 `picard`, which only `picard-genus` imports, share one slotted base.  It
-loads `csv` only for `--format csv`, and `fractions` only through `picard`.
+loads `fractions` only through `picard`, and `csv` never.
 The elliptic and kdv names used by `legendre` and `verify-kdv` are bound
 into this module on first use (or on first attribute access from outside).
 The argument parser is built once per process.
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import itertools
 import math
 import os
@@ -51,8 +54,8 @@ from . import invariants as inv
 from .errors import EllcoverError, InvalidInvariants
 
 # elliptic/kdv names used by the numeric handlers, loaded on first use
-_NUMERIC = ("Lattice", "legendre_defect", "quasi_periods", "Grid", "TravelingWave",
-            "kdv_residual", "monodromy_factor", "periodicity_check")
+_NUMERIC = ("Lattice", "legendre_bound", "legendre_defect", "quasi_periods", "Grid",
+            "TravelingWave", "kdv_residual", "monodromy_factor", "periodicity_check")
 
 
 def _load_numeric() -> None:
@@ -224,35 +227,39 @@ def _json_rows(rows, write) -> bool:
     return verdicts.admissible
 
 
-def _csv_rows(rows, write) -> bool:
-    import csv  # here, so that a JSON table never loads it
+def _csv_cell(text: str) -> str:
+    """A CSV field as csv.writer(lineterminator="\\n") writes it on CPython 3.11:
+    wrapped in quotes, its quotes doubled, when it holds a comma, a quote or
+    a newline, and as it is otherwise, a carriage return included."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
+
+def _csv_rows(rows, write) -> bool:
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         return True
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"{s}.{k}" for s in ("inputs", "derived") for k in first.get(s, {})]
-                    + ["verdicts"])
+    header = [f"{s}.{k}" for s in ("inputs", "derived") for k in first.get(s, {})] + ["verdicts"]
+    chunk = [",".join(map(_csv_cell, header)) + "\n"]
     verdicts = _VerdictMemo(_flat_value)
-    last: dict = {}  # key -> (object, cells) on the previous row
-    for i, row in enumerate(itertools.chain((first,), rows), 1):
+    last: dict = {}  # key -> (object, cell texts) on the previous row
+    for row in itertools.chain((first,), rows):
         cells = []
         for key in ("inputs", "derived", "verdicts"):
             v = row.get(key, {})
             prev = last.get(key)
             if prev is None or prev[0] is not v:
-                prev = last[key] = (v, ["; ".join(verdicts(v))] if key == "verdicts" else
-                                    [_FLAT_BY_TYPE.get(type(x), _unserializable)(x)
+                prev = last[key] = (v, [_csv_cell("; ".join(verdicts(v)))] if key == "verdicts" else
+                                    [_csv_cell(_FLAT_BY_TYPE.get(type(x), _unserializable)(x))
                                      for x in v.values()])
             cells += prev[1]
-        writer.writerow(cells)
-        if i % _CHUNK_ROWS == 0:
-            write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
-    write(buf.getvalue())
+        chunk.append((",".join(cells) or '""') + "\n")  # a lone empty field is written ""
+        if len(chunk) >= _CHUNK_ROWS:
+            write("".join(chunk))
+            chunk.clear()
+    write("".join(chunk))
     return verdicts.admissible
 
 
@@ -313,7 +320,7 @@ def _cmd_legendre(args) -> list[dict]:
     lat = Lattice(args.omega1, args.omega2, args.precision)
     qp = quasi_periods(lat)
     defect = legendre_defect(lat)
-    tol = 10.0 * lat.tolerance
+    tol = legendre_bound(lat)
     row = {
         "inputs": {
             "omega1": complex(lat.omega1),
@@ -332,22 +339,29 @@ def _cmd_legendre(args) -> list[dict]:
 
 def _cmd_enumerate_types(args) -> Iterator[dict]:
     items = inv.enumerate_types(args.n, args.d)  # raises on bad input, before any row
-    inputs = {"n": args.n, "d": args.d}  # one object: the writers encode it once
-    square_sum = inv.type_square_target(args.n, args.d)
-    return (
-        {
-            "inputs": inputs,
+    return _enumerated_rows(items, {"n": args.n, "d": args.d},
+                            inv.type_square_target(args.n, args.d))
+
+
+def _enumerated_rows(items, inputs: dict, square_sum: int) -> Iterator[dict]:
+    # The rows of one genus (gamma^(1) = 2g + 1) share every verdict object but
+    # their own 5.4(4), the second, so the shared ones are judged once per genus.
+    shared: dict[int, bool] = {}  # g -> whether the verdicts its rows share hold
+    for gamma, g, verdicts in items:
+        held = shared.get(g)
+        if held is None:
+            held = shared[g] = inv.admissible(verdicts[:1] + verdicts[2:])
+        yield {
+            "inputs": inputs,  # one object: the writers encode it once
             "derived": {
                 "gamma": gamma.gamma,
                 "gamma1": 2 * g + 1,
                 "gamma2": square_sum,
                 "g": g,
-                "admissible": inv.admissible(verdicts),
+                "admissible": held and inv.admissible(verdicts[1:2]),
             },
             "verdicts": verdicts,
         }
-        for gamma, g, verdicts in items
-    )
 
 
 def _cmd_check_cover(args) -> list[dict]:

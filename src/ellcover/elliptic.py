@@ -68,6 +68,8 @@ POLE_EXCLUSION_FACTOR = 1e-3
 
 _MAX_ROWS = 512
 
+_EPS = 2.0**-52  # float64 machine epsilon
+
 #: Values in the power table of one block of `Lattice._evaluate` (1 MB of complex128).
 _BLOCK_ELEMS = 1 << 16
 
@@ -245,16 +247,18 @@ class Lattice:
         return 1.0 / 3.0 - 8.0 * complex(self._lambert[1, : 2 * self._rows : 2].sum())
 
     @cached_property
-    def _quasi(self) -> tuple[QuasiPeriods, float]:
-        """The quasi-period constants and their Legendre relation defect."""
+    def _quasi(self) -> tuple[QuasiPeriods, float, float]:
+        """The quasi-period constants, their Legendre relation defect and its
+        bound (see `legendre_bound`)."""
         eta1, eta2 = (2.0 * zeta(self, np.array([self.omega1, self.omega2]))).tolist()
         p1, p2 = self.periods
         defect = abs(eta1 * p2 - eta2 * p1 - TWO_PI_I)
-        if defect > 10.0 * self.tolerance:
+        bound = max(10.0 * self.tolerance, 8.0 * _EPS * (abs(eta1 * p2) + abs(eta2 * p1)))
+        if defect > bound:
             raise ConvergenceFailure(
-                f"Legendre relation defect {defect:.3e} exceeds 10*precision"
+                f"Legendre relation defect {defect:.3e} exceeds its bound {bound:.3e}"
             )
-        return QuasiPeriods(eta1, eta2), defect
+        return QuasiPeriods(eta1, eta2), defect, bound
 
     # -- the kernel ----------------------------------------------------------
 
@@ -444,7 +448,7 @@ def quasi_periods(lattice: Lattice) -> QuasiPeriods:
     """Quasi-period constants eta_j = 2*zeta(omega_j), Legendre-validated.
 
     Raises ConvergenceFailure if the computed pair violates Legendre's
-    relation by more than 10*precision.
+    relation by more than `legendre_bound`.
     """
     return lattice._quasi[0]
 
@@ -452,3 +456,12 @@ def quasi_periods(lattice: Lattice) -> QuasiPeriods:
 def legendre_defect(lattice: Lattice) -> float:
     """|eta1*2*omega2 - eta2*2*omega1 - 2*pi*i| for this lattice."""
     return lattice._quasi[1]
+
+
+def legendre_bound(lattice: Lattice) -> float:
+    """The bound on `legendre_defect`: max(10*precision, 8*eps*S) with
+    S = |eta1*2*omega2| + |eta2*2*omega1|.  The two products each grow like
+    Im(tau) and cancel to 2*pi*i, so their rounding alone is a few eps*S.
+    The bound is 10*precision while S < 5,630 (at the default precision,
+    Im(tau) below about 850)."""
+    return lattice._quasi[2]

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ellcover import cli
 from ellcover import invariants as inv
@@ -36,6 +38,24 @@ def test_legendre_defect_below_threshold():
     assert rows[0]["derived"]["defect"] < 1e-10
     assert rows[0]["verdicts"][0]["clause"] == "4.4 Legendre relation"
     assert abs(rows[0]["derived"]["eta1"]["re"] - 3.14159265359) < 1e-9
+
+
+@pytest.mark.parametrize("im_tau", [3e4, 1e5])
+def test_legendre_on_a_tall_lattice_meets_its_rounding_floor(im_tau, capsys):
+    # eta1*2*omega2 and eta2*2*omega1 are each near 3.3*Im(tau) and cancel to
+    # 2*pi*i, so the defect passes 10*precision by rounding alone
+    assert cli.run(["legendre", "--omega1", "1", "--omega2", f"{im_tau}i"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    (verdict,) = row["verdicts"]
+    assert verdict["ok"] and 1e-11 < row["derived"]["defect"] <= verdict["rhs"]
+    lat = cli.Lattice(1, im_tau * 1j)
+    assert verdict["rhs"] == float(cli._fmt_float(cli.legendre_bound(lat)))
+
+
+@pytest.mark.parametrize("omega2", [0.5j, 0.3 + 0.85j, 800j])
+def test_legendre_bound_is_ten_times_precision_below_its_floor(omega2):
+    lat = cli.Lattice(1, omega2)
+    assert cli.legendre_bound(lat) == 10.0 * lat.tolerance
 
 
 def test_enumerate_types_rows():
@@ -596,18 +616,18 @@ def _modules_added(*argv) -> set:
 
 
 # what an integer child need not load: records without dataclasses (and so no
-# inspect), csv only for CSV, fractions only with picard
+# inspect), csv never (the CSV writer quotes its own cells), fractions only with picard
 NOT_ON_THE_INTEGER_PATH = {"dataclasses", "inspect", "csv", "fractions"}
 
 
 def test_integer_subcommands_import_only_what_they_use():
     for argv in INTEGER_COMMANDS:
-        added = _modules_added(*argv) & NOT_ON_THE_INTEGER_PATH
-        # picard's records are slotted too: it brings only fractions, for its exact genus
-        assert added == ({"fractions"} if argv[0] == "picard-genus" else set()), (argv[0], added)
+        for fmt in ("json", "csv"):
+            added = _modules_added(*argv, "--format", fmt) & NOT_ON_THE_INTEGER_PATH
+            # picard's records are slotted too: it brings only fractions, for its exact genus
+            expected = {"fractions"} if argv[0] == "picard-genus" else set()
+            assert added == expected, (argv[0], fmt, added)
     assert _modules_added() & NOT_ON_THE_INTEGER_PATH == {"fractions"}
-    csv_added = _modules_added(*INTEGER_COMMANDS[3], "--format", "csv")
-    assert csv_added & NOT_ON_THE_INTEGER_PATH == {"csv"}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -820,7 +840,7 @@ def test_out_of_memory_in_a_handler_is_numeric_error(monkeypatch, capsys):
 def test_out_of_memory_while_rows_are_written_is_numeric_error(fmt, monkeypatch, capsys):
     admissible, calls = cli.inv.admissible, []
 
-    def admissible_until_row_1000(verdicts):  # called once per row, by the row generator
+    def admissible_until_row_1000(verdicts):  # by the row generator, per row and per genus
         calls.append(None)
         return _out_of_memory() if len(calls) > 1000 else admissible(verdicts)
 
@@ -836,3 +856,70 @@ def test_empty_table():
     _csv_rows([], csv_text.append)
     assert "".join(json_text) == "[]\n"
     assert "".join(csv_text) == ""
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (6, 2), (37, 4), (200, 3), (201, 20)])
+def test_enumerated_admissible_is_the_judgement_of_the_row_verdicts(n, d):
+    args = cli._build_parser().parse_args(["enumerate-types", "--n", str(n), "--d", str(d)])
+    rows = list(args.handler(args))
+    assert rows and all(row["derived"]["admissible"] is inv.admissible(row["verdicts"])
+                        for row in rows)
+
+
+def test_enumerated_admissible_judges_shared_and_own_verdicts():
+    # rows of one genus share every verdict but the second (their own 5.4(4))
+    ok, low = Verdict("a", True, 1, 1), Verdict("b", False, 2, 1)
+    own = [Verdict("5.4(4)", True, 0, 0), Verdict("5.4(4)", False, 1, 0),
+           Verdict("5.4(4)", True, 0, 0), Verdict("5.4(4)", True, 0, 0)]
+    items = [(inv.TypeVector((1, 1, 1, 0)), 1, (ok, own[0], ok)),
+             (inv.TypeVector((1, 1, 0, 1)), 1, (ok, own[1], ok)),
+             (inv.TypeVector((3, 1, 1, 0)), 2, (ok, own[2], low)),
+             (inv.TypeVector((3, 1, 0, 1)), 2, (ok, own[3], low))]
+    rows = list(cli._enumerated_rows(items, {"n": 1, "d": 1}, 3))
+    assert [row["derived"]["admissible"] for row in rows] == [True, False, False, False]
+    assert [inv.admissible(row["verdicts"]) for row in rows] == [True, False, False, False]
+
+
+def _csv_writer_text(rows) -> str:
+    """What csv.writer writes for the header and flattened cells of `rows`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"{s}.{k}" for s in ("inputs", "derived") for k in rows[0].get(s, {})]
+                    + ["verdicts"])
+    for row in rows:
+        writer.writerow([_flat_value(x) for s in ("inputs", "derived")
+                         for x in row.get(s, {}).values()]
+                        + ["; ".join(map(_flat_value, row["verdicts"]))])
+    return buf.getvalue()
+
+
+_CSV_TEXT = st.text(st.sampled_from(',"\n\r x;'), max_size=6)
+_CSV_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.complex_numbers() | _CSV_TEXT)
+_CSV_VALUES = st.recursive(_CSV_SCALARS, lambda inner: st.lists(inner, max_size=2), max_leaves=4)
+_CSV_VERDICTS = st.builds(Verdict, _CSV_TEXT, st.booleans(), _CSV_VALUES, _CSV_VALUES,
+                          st.booleans())
+
+
+@st.composite
+def _csv_tables(draw):
+    inputs, derived = (draw(st.lists(_CSV_TEXT, max_size=2, unique=True)) for _ in range(2))
+    shared = draw(st.booleans())  # one inputs object on every row, as enumerate-types has
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = {"inputs": {k: draw(_CSV_VALUES) for k in inputs},
+               "derived": {k: draw(_CSV_VALUES) for k in derived},
+               "verdicts": draw(st.lists(_CSV_VERDICTS, max_size=2))}
+        if shared and rows:
+            row["inputs"] = rows[0]["inputs"]
+        rows.append(row)
+    return rows
+
+
+@given(_csv_tables())
+@example([{"verdicts": []}])  # a row whose only field is empty
+@example([{"inputs": {"": ""}, "verdicts": [Verdict('a,"b"\n\r', False, ["\r", ","], None)]}])
+def test_csv_rows_write_what_csv_writer_writes(rows):
+    text = []
+    _csv_rows(rows, text.append)
+    assert "".join(text) == _csv_writer_text(rows)
