@@ -339,29 +339,19 @@ def _cmd_legendre(args) -> list[dict]:
 
 def _cmd_enumerate_types(args) -> Iterator[dict]:
     items = inv.enumerate_types(args.n, args.d)  # raises on bad input, before any row
-    return _enumerated_rows(items, {"n": args.n, "d": args.d},
-                            inv.type_square_target(args.n, args.d))
-
-
-def _enumerated_rows(items, inputs: dict, square_sum: int) -> Iterator[dict]:
-    # The rows of one genus (gamma^(1) = 2g + 1) share every verdict object but
-    # their own 5.4(4), the second, so the shared ones are judged once per genus.
-    shared: dict[int, bool] = {}  # g -> whether the verdicts its rows share hold
-    for gamma, g, verdicts in items:
-        held = shared.get(g)
-        if held is None:
-            held = shared[g] = inv.admissible(verdicts[:1] + verdicts[2:])
-        yield {
-            "inputs": inputs,  # one object: the writers encode it once
-            "derived": {
-                "gamma": gamma.gamma,
-                "gamma1": 2 * g + 1,
-                "gamma2": square_sum,
-                "g": g,
-                "admissible": held and inv.admissible(verdicts[1:2]),
-            },
-            "verdicts": verdicts,
-        }
+    inputs = {"n": args.n, "d": args.d}  # one object: the writers encode it once
+    square_sum = inv.type_square_target(args.n, args.d)
+    return ({
+        "inputs": inputs,
+        "derived": {
+            "gamma": gamma.gamma,
+            "gamma1": 2 * g + 1,
+            "gamma2": square_sum,
+            "g": g,
+            "admissible": inv.admissible(verdicts),
+        },
+        "verdicts": verdicts,
+    } for gamma, g, verdicts in items)
 
 
 def _cmd_check_cover(args) -> list[dict]:
@@ -382,6 +372,9 @@ def _cmd_check_cover(args) -> list[dict]:
         record = inv.CoverInvariants(args.n, d, args.g, rho, m, gamma)
         verdicts = inv.evaluate_kdv(record)
         inputs.update({"d": d, "rho": rho, "m": m})
+    elif args.case == "sg" and args.placement is None:  # sg takes no distinct-generic
+        raise InvalidInvariants(
+            "--placement: --case sg needs same-projection or distinct-half-periods")
     else:
         placement = inv.Placement(args.placement or "distinct-generic")
         inputs["placement"] = placement.value
@@ -545,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="kdv only (default 1)")
     p.add_argument("--gamma", type=_parse_ints(4), required=True, metavar="A,B,C,D")
     p.add_argument("--placement", choices=[pl.value for pl in inv.Placement], default=None,
-                   help="nls|sg only (default distinct-generic)")
+                   help="nls|sg only (nls default distinct-generic; sg needs it)")
     p.set_defaults(handler=_cmd_check_cover)
 
     p = sub.add_parser("construct-68", help="generated (gamma, n, g) table")

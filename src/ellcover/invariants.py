@@ -43,11 +43,6 @@ from .errors import InvalidInvariants, ParityViolation
 Vec4 = tuple[int, int, int, int]
 
 
-def _below(name: str, value: int, low: int) -> InvalidInvariants:
-    """The error of one named integer below its floor."""
-    return InvalidInvariants(f"{name}: need an integer >= {low}, got {value}")
-
-
 def _integers(name: str, values, count: int,
               low: int | tuple[Optional[int], ...] | None = None) -> tuple[int, ...]:
     """`values` as `count` ints; InvalidInvariants naming `name` for another
@@ -65,7 +60,8 @@ def _integers(name: str, values, count: int,
     if type(low) is tuple:
         for i, floor in enumerate(low):
             if floor is not None and ints[i] < floor:
-                raise _below(name.split(", ")[i], ints[i], floor)
+                raise InvalidInvariants(
+                    f"{name.split(', ')[i]}: need an integer >= {floor}, got {ints[i]}")
     elif low is not None and min(ints) < low:
         raise InvalidInvariants(f"{name}: need integers >= {low}, got {ints}")
     return ints
@@ -312,9 +308,7 @@ def _two_point(table: str, n, g, gamma, same: bool) -> tuple[int, int, TypeVecto
     """Checked n >= 1, g >= 0 and gamma, and the clauses both two-point
     families state: (1) genus vs type sum 2G <= gamma^(1), type square bound
     and genus square bound, with G from `_square_bound`."""
-    n, g = _integers("n, g", (n, g), 2, 0)
-    if n < 1:
-        raise _below("n", n, 1)
+    n, g = _integers("n, g", (n, g), 2, (1, 0))
     gam = gamma if isinstance(gamma, TypeVector) else TypeVector(gamma)
     clause, rhs, term = _square_bound(table, n, g, same)
     return n, g, gam, [

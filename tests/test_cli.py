@@ -90,6 +90,16 @@ def test_check_cover_nls_and_sg():
     assert res.returncode == 0
 
 
+def test_check_cover_sg_without_placement_names_the_flag(capsys):
+    # the default distinct-generic is nls's: sg never takes it
+    argv = ["check-cover", "--case", "sg", "--n", "4", "--g", "3", "--gamma", "2,2,1,1"]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", "error: --placement: --case sg needs same-projection "
+                                       "or distinct-half-periods\n")
+    assert cli.run([*argv, "--placement", "distinct-generic"]) == 2
+    assert capsys.readouterr().err.startswith("error: involution-fixed marked points")
+
+
 @pytest.mark.parametrize("args", [
     ("--case", "nls", "--n", "0", "--g", "-1", "--gamma", "0,0,0,0"),
     ("--case", "sg", "--n", "-3", "--g", "0", "--gamma", "1,1,1,1",
@@ -104,7 +114,7 @@ def test_check_cover_two_point_degree_and_genus_floors_are_usage_errors(args):
 
 
 @pytest.mark.parametrize("args,name", [
-    (("check-cover", "--case", "nls", "--n", "0", "--g", "-1", "--gamma", "0,0,0,0"), b"n, g"),
+    (("check-cover", "--case", "nls", "--n", "0", "--g", "-1", "--gamma", "0,0,0,0"), b"n"),
     (("check-cover", "--case", "sg", "--n", "0", "--g", "1", "--gamma", "0,0,0,0",
       "--placement", "same-projection"), b"n"),
     (("check-cover", "--case", "kdv", "--n", "3", "--d", "1", "--g", "2", "--gamma", "2,1,1,-1"),
@@ -180,6 +190,21 @@ def test_verify_kdv_row():
     assert d["residual_stencil"] < 1e-6
     assert d["periodicity_defect"] < 1e-10
     assert d["monodromy_defect"] < 1e-8
+
+
+@pytest.mark.parametrize("im_tau, code", [(300, 0), (1000, 2)])
+def test_verify_kdv_monodromy_out_of_float_range_is_numeric_error(im_tau, code):
+    # |M_2(z0)| is 1.1e221 at Im(tau) = 300 and overflows from about 420, where an
+    # inf factor would make the ratio NaN, which max() would fold into "ok"
+    res = run_cli("verify-kdv", "--omega1", "1", "--omega2", f"{im_tau}i",
+                  "--residual-tol", "1", "--grid", "40,8")
+    assert res.returncode == code
+    if code == 0:
+        assert res.stderr == b"" and b'"4.5 monodromy", "ok": true' in res.stdout
+    else:
+        assert res.stdout == b""
+        assert res.stderr == (b"error: out of floating-point range "
+                              b"(FloatingPointError: overflow encountered in exp)\n")
 
 
 def test_malformed_vector_is_usage_error():
@@ -510,10 +535,13 @@ def test_check_cover_kdv_floors_read_like_the_two_point_ones(flag, value, low, c
     kdv = capsys.readouterr()
     assert kdv.out == ""
     assert kdv.err == f"error: {flag[2:]}: need an integer >= {low}, got {value}\n"
-    if flag == "--n":
-        assert cli.run(["check-cover", "--case", "nls", "--n", "0", "--g", "2",
-                        "--gamma", "0,0,0,0"]) == 2
-        assert capsys.readouterr().err == kdv.err
+    if flag in ("--n", "--g"):
+        two_point = {"--n": "3", "--g": "2", flag: value}
+        argv = [x for item in two_point.items() for x in item]
+        for case, placement in (("nls", []), ("sg", ["--placement", "same-projection"])):
+            assert cli.run(["check-cover", "--case", case, *argv, "--gamma", "2,1,1,1",
+                            *placement]) == 2
+            assert capsys.readouterr() == ("", kdv.err)
 
 
 def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
@@ -840,7 +868,7 @@ def test_out_of_memory_in_a_handler_is_numeric_error(monkeypatch, capsys):
 def test_out_of_memory_while_rows_are_written_is_numeric_error(fmt, monkeypatch, capsys):
     admissible, calls = cli.inv.admissible, []
 
-    def admissible_until_row_1000(verdicts):  # by the row generator, per row and per genus
+    def admissible_until_row_1000(verdicts):  # by the row generator, per row
         calls.append(None)
         return _out_of_memory() if len(calls) > 1000 else admissible(verdicts)
 
@@ -866,8 +894,9 @@ def test_enumerated_admissible_is_the_judgement_of_the_row_verdicts(n, d):
                         for row in rows)
 
 
-def test_enumerated_admissible_judges_shared_and_own_verdicts():
-    # rows of one genus share every verdict but the second (their own 5.4(4))
+def test_enumerated_admissible_judges_shared_and_own_verdicts(monkeypatch):
+    # rows of one genus share every verdict but the second (their own 5.4(4)), as in
+    # a real table; every real table is admissible, so these rows are made up
     ok, low = Verdict("a", True, 1, 1), Verdict("b", False, 2, 1)
     own = [Verdict("5.4(4)", True, 0, 0), Verdict("5.4(4)", False, 1, 0),
            Verdict("5.4(4)", True, 0, 0), Verdict("5.4(4)", True, 0, 0)]
@@ -875,7 +904,9 @@ def test_enumerated_admissible_judges_shared_and_own_verdicts():
              (inv.TypeVector((1, 1, 0, 1)), 1, (ok, own[1], ok)),
              (inv.TypeVector((3, 1, 1, 0)), 2, (ok, own[2], low)),
              (inv.TypeVector((3, 1, 0, 1)), 2, (ok, own[3], low))]
-    rows = list(cli._enumerated_rows(items, {"n": 1, "d": 1}, 3))
+    monkeypatch.setattr(cli.inv, "enumerate_types", lambda n, d: iter(items))
+    args = cli._build_parser().parse_args(["enumerate-types", "--n", "1", "--d", "1"])
+    rows = list(args.handler(args))
     assert [row["derived"]["admissible"] for row in rows] == [True, False, False, False]
     assert [inv.admissible(row["verdicts"]) for row in rows] == [True, False, False, False]
 

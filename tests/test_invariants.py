@@ -383,15 +383,31 @@ def test_bad_half_period_indices_fail_loudly(placement, indices):
 
 
 def test_sg_informational_clause_does_not_block_admissibility():
-    # g^2 = 4n - 1 > 4n - 2 violates only the informational sharper bound
-    # pick n, g with 4n - 2 < g^2 <= 4n: n = 13, g = 7: 49 <= 52, 49 > 50 no...
-    # use n = 5, g = 2: g^2 = 4 <= 18 fine; instead force lhs between bounds:
-    # g^2 = 4n - 1 impossible (parity), use g^2 = 4n: n = 4, g = 4? 16 = 16
+    # 6.12(3) (g^2 <= 4n - 2) is never the only clause an input violates: with
+    # g^2 <= 4n (5.8(2)) and g^2 > 4n - 2, g^2 = 4n, as g^2 is 0 or 1 mod 4;
+    # then 2g <= gamma^(1) and gamma^(2) <= 4n = g^2 force every gamma_i = g/2
+    # (Cauchy-Schwarz: gamma^(1)^2 <= 4 gamma^(2)), a gamma that flips either
+    # no index or all four, so 5.6(5) parity fails.  Here 5.8(2) fails too.
     verdicts = evaluate_sine_gordon(4, 4, (4, 4, 0, 0), Placement.DISTINCT_HALF_PERIODS)
     info = [v for v in verdicts if v.informational][0]
     assert not info.ok  # 16 > 14
     binding = [v for v in verdicts if not v.informational]
     assert admissible(verdicts) == all(v.ok for v in binding)
+
+
+def test_sg_informational_clause_is_never_violated_alone():
+    # the argument above, checked exactly: it reaches g^2 = 4n at (1, 2), (4, 4), (9, 6)
+    gammas = [TypeVector(gamma) for gamma in product(range(5), repeat=4)]
+    tight = 0
+    for n, g in product(range(1, 10), range(7)):
+        for gamma in gammas:
+            verdicts = evaluate_sine_gordon(n, g, gamma, Placement.DISTINCT_HALF_PERIODS)
+            if not verdicts[-1].ok:
+                assert verdicts[-1].clause == "6.12(3) genus square bound"
+                violated = [v.clause for v in verdicts if not v.ok]
+                assert len(violated) > 1
+                tight += violated == ["5.6(5) parity", "6.12(3) genus square bound"]
+    assert tight == 3  # gamma = (g/2,) * 4 at each g^2 = 4n
 
 
 # -- enumerate_types -----------------------------------------------------------------
@@ -673,7 +689,7 @@ def test_family_outputs_always_satisfy_their_restriction(alpha, salt):
     (lambda: construct_closed_forms(0, (0, 1, 1, 1)), "d"),
     (lambda: construct_closed_forms(2, (0, 1, 1, -1)), "mu"),
     (lambda: FamilySpec("6.13", (0, 0, 0, -1)), "alpha"),
-    (lambda: evaluate_nls_toda(0, -1, (0, 0, 0, 0), Placement.DISTINCT_GENERIC), "n, g"),
+    (lambda: evaluate_nls_toda(0, -1, (0, 0, 0, 0), Placement.DISTINCT_GENERIC), "n"),
     (lambda: evaluate_nls_toda(0, 2, (0, 0, 0, 0), Placement.DISTINCT_GENERIC), "n"),
     (lambda: evaluate_sine_gordon(4, 2.5, (2, 2, 1, 1), Placement.DISTINCT_HALF_PERIODS), "n, g"),
 ], ids=["type-neg", "cover-gamma-half", "cover-n-half", "enum-n-0", "construct-d-half",
