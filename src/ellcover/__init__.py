@@ -3,7 +3,8 @@ function numerics that verify their flow periodicity at genus 1.
 
 The numeric names (from `elliptic` and `kdv`) and the Picard names (from
 `picard`) are loaded on first access, so importing the package, or using
-only its integer layers, imports neither numpy nor `picard`."""
+only its integer layers, imports neither numpy nor `picard`.  Nor does a
+Lattice with its quasi-periods: numpy comes with the first evaluation."""
 
 import importlib
 

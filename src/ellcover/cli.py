@@ -34,8 +34,9 @@ An integer subcommand's child loads argparse and the package's integer
 layer, never numpy or `dataclasses`: the records of `invariants` and of
 `picard`, which only `picard-genus` imports, share one slotted base.  It
 loads `fractions` only through `picard`, and `csv` never.
-The elliptic and kdv names used by `legendre` and `verify-kdv` are bound
-into this module on first use (or on first attribute access from outside).
+The elliptic and kdv names used by `verify-kdv` are bound into this module
+on first use (or on first attribute access from outside); `legendre` binds
+only the elliptic ones, and so imports neither kdv nor numpy.
 The argument parser is built once per process.
 """
 
@@ -53,17 +54,18 @@ from typing import Iterator
 from . import invariants as inv
 from .errors import EllcoverError, InvalidInvariants
 
-# elliptic/kdv names used by the numeric handlers, loaded on first use
-_NUMERIC = ("Lattice", "legendre_bound", "legendre_defect", "quasi_periods", "Grid",
-            "TravelingWave", "kdv_residual", "monodromy_factor", "periodicity_check")
+# elliptic/kdv names used by the numeric handlers, loaded on first use (legendre's need no numpy)
+_ELLIPTIC = ("Lattice", "legendre_bound", "legendre_defect", "quasi_periods")
+_NUMERIC = _ELLIPTIC + ("Grid", "TravelingWave", "kdv_residual", "monodromy_factor",
+                        "periodicity_check")
 
 
-def _load_numeric() -> None:
-    """Bind every numeric name into this module from the package's lazy
-    exports, keeping any binding already there (such as a wrapper
+def _load_numeric(names: tuple[str, ...] = _NUMERIC) -> None:
+    """Bind `names` (by default every numeric name) into this module from the
+    package's lazy exports, keeping any binding already there (such as a wrapper
     installed from outside)."""
     package, namespace = sys.modules[__package__], globals()
-    for name in _NUMERIC:
+    for name in names:
         namespace.setdefault(name, getattr(package, name))
 
 
@@ -316,7 +318,7 @@ def _tolerance(text: str) -> float:
 
 
 def _cmd_legendre(args) -> list[dict]:
-    _load_numeric()
+    _load_numeric(_ELLIPTIC)
     lat = Lattice(args.omega1, args.omega2, args.precision)
     qp = quasi_periods(lat)
     defect = legendre_defect(lat)

@@ -28,7 +28,9 @@ wp, wp' and zeta share one kernel: the two rows nearest z in closed form,
 every other row through a Lambert series whose coefficients are fixed per
 lattice, so a point costs one exponential, three divisions and one small
 matrix product.  zeta needs no quasi-period first: its linear term takes z
-itself, and Legendre's relation turns each shift by q2 into -2*pi*i/q1.
+itself, and Legendre's relation turns each shift by q2 into -2*pi*i/q1.  The
+eta_j follow from that term in closed form, with neither the kernel nor
+numpy, which only the kernel, its coefficients and `reduce` import.
 Points run in blocks that keep the power table near 1 MB, and each block
 does all of its work, from the reduction into the cell to its finished
 values, in one-block buffers, so an array's values are its blocks' values
@@ -53,8 +55,6 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-
-import numpy as np
 
 from .errors import ConvergenceFailure, PoleProximity
 
@@ -213,19 +213,24 @@ class Lattice:
         return cmath.exp(TWO_PI_I * self._tau)
 
     @cached_property
+    def _lj(self) -> list[complex]:
+        """L_j = q^(2j)/(1 - q^(2j)), j = 1..rows, for `_lambert` and `_row_constant`."""
+        powers = [cmath.exp(TWO_PI_I * self._tau * j) for j in range(1, self._rows + 1)]
+        return [x / (1.0 - x) for x in powers]
+
+    @cached_property
     def _lambert(self) -> np.ndarray:
         """Coefficient matrix of `_evaluate`, whose rows p = 0, 1, 2 sum the
         terms of zeta, wp and wp'.
 
         Column 2i weighs the E-part of power-table row i and column 2i + 1
         its G-part, which enters with sign_p = -1, 1, -1.  Table row i < rows
-        holds x^j, j = i + 1, with coefficient j^p * L_j and
-        L_j = q^(2j)/(1 - q^(2j)); table row rows + p holds the closed-form
-        f_p, with coefficient 1."""
+        holds x^j, j = i + 1, with coefficient j^p * L_j (`_lj`); table row
+        rows + p holds the closed-form f_p, with coefficient 1."""
+        import numpy as np
         rows = self._rows
         j = np.arange(1, rows + 1)
-        q2j = np.exp(TWO_PI_I * self._tau * j)
-        lj = q2j / (1.0 - q2j)
+        lj = np.array(self._lj)
         coef = np.zeros((3, rows + 3, 2), complex)
         for p, sign in enumerate((-1.0, 1.0, -1.0)):
             coef[p, :rows, 0] = j**p * lj
@@ -244,14 +249,18 @@ class Lattice:
         """1/3 + 2 * sum of csc^2(n*pi*tau) over n >= 1, the constant of -wp
         and the z coefficient of zeta, in units of (pi/q1)^2: the rows are
         -4*q^(2n)/(1 - q^(2n))^2, which sum to -4 * sum of j*L_j."""
-        return 1.0 / 3.0 - 8.0 * complex(self._lambert[1, : 2 * self._rows : 2].sum())
+        return 1.0 / 3.0 - 8.0 * sum(j * lj for j, lj in enumerate(self._lj, 1))
 
     @cached_property
     def _quasi(self) -> tuple[QuasiPeriods, float, float]:
         """The quasi-period constants, their Legendre relation defect and its
-        bound (see `legendre_bound`)."""
-        eta1, eta2 = (2.0 * zeta(self, np.array([self.omega1, self.omega2]))).tolist()
+        bound (see `legendre_bound`).  eta is additive over the lattice, so
+        eta(q1), eta(q2) of `_evaluate` give eta(p) = k^2*c*p - b*2*pi*i/q1 at
+        p = 2*omega_j, whose q2-coordinate in the reduced basis is b."""
+        q1, (_, _, c21, c22) = self._reduced[0], self._coordinates
+        slope, shift = (math.pi / q1) ** 2 * self._row_constant, TWO_PI_I / q1
         p1, p2 = self.periods
+        eta1, eta2 = (slope * p - round(c21 * p.real + c22 * p.imag) * shift for p in (p1, p2))
         defect = abs(eta1 * p2 - eta2 * p1 - TWO_PI_I)
         bound = max(10.0 * self.tolerance, 8.0 * _EPS * (abs(eta1 * p2) + abs(eta2 * p1)))
         if defect > bound:
@@ -312,6 +321,7 @@ class Lattice:
         6): an array's values are its blocks' values, but the final points
         of a short last block can move by a few ulps against a longer array.
         """
+        import numpy as np
         arr = np.asarray(z, dtype=complex)
         if not np.isfinite(arr).all():
             raise ValueError("evaluation points must be finite")
@@ -411,6 +421,7 @@ def reduce(lattice: Lattice, z):
     (2*omega1, 2*omega2) as given (no internal re-basing).  Raises
     ValueError for a non-finite point, as the kernel does.
     """
+    import numpy as np
     arr = np.asarray(z, dtype=complex)
     if not np.isfinite(arr).all():
         raise ValueError("evaluation points must be finite")
@@ -445,7 +456,8 @@ def zeta(lattice: Lattice, z):
 
 
 def quasi_periods(lattice: Lattice) -> QuasiPeriods:
-    """Quasi-period constants eta_j = 2*zeta(omega_j), Legendre-validated.
+    """Quasi-period constants eta_j = 2*zeta(omega_j), Legendre-validated,
+    in closed form from the row constant (see `Lattice._quasi`).
 
     Raises ConvergenceFailure if the computed pair violates Legendre's
     relation by more than `legendre_bound`.
@@ -454,7 +466,7 @@ def quasi_periods(lattice: Lattice) -> QuasiPeriods:
 
 
 def legendre_defect(lattice: Lattice) -> float:
-    """|eta1*2*omega2 - eta2*2*omega1 - 2*pi*i| for this lattice."""
+    """|eta1*2*omega2 - eta2*2*omega1 - 2*pi*i|, the rounding of the two products."""
     return lattice._quasi[1]
 
 

@@ -218,9 +218,9 @@ def test_quasi_periods_deterministic(square):
     assert (a.eta1, a.eta2) == (b.eta1, b.eta2)
 
 
-def test_quasi_periods_take_one_kernel_call(monkeypatch):
-    # eta1 and eta2 come from one zeta call at (omega1, omega2); zeta's
-    # correction needs no quasi-period evaluated first
+def test_quasi_periods_take_no_kernel_call(monkeypatch):
+    # eta1 and eta2 come in closed form from the row constant and the
+    # periods' coordinates in the reduced basis, not from zeta
     calls = []
     kernel = Lattice._evaluate
 
@@ -230,7 +230,36 @@ def test_quasi_periods_take_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(Lattice, "_evaluate", counted)
     quasi_periods(Lattice(0.7 + 0.1j, 0.2 + 1.3j))
-    assert calls == ["zeta"]
+    assert calls == []
+
+
+@given(
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-0.5, 0.5),
+    st.floats(math.log10(0.5), 2.0),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+def test_closed_form_quasi_periods_match_twice_zeta_at_the_half_periods(
+    log_scale, angle, re_tau, log_im_tau, skew2, skew1
+):
+    # the old route is the oracle: eta_j = 2*zeta(omega_j) through the kernel,
+    # within zeta's contract at omega_j = a*q1 + b*q2 = zr + m*q1 + n*q2,
+    # where |m| <= |a| + 1/2 and |n| <= |b| + 1/2
+    omega1 = 10.0**log_scale * cmath.exp(1j * angle)
+    p1, p2 = 2 * omega1, 2 * omega1 * complex(re_tau, 10.0**log_im_tau)
+    p2 += skew2 * p1
+    p1 += skew1 * p2  # a skewed basis of the same lattice, still oriented
+    lat = Lattice(p1 / 2, p2 / 2)
+    qp = quasi_periods(lat)
+    c11, c12, c21, c22 = lat._coordinates
+    pref = math.pi / lat.shortest_vector
+    for eta, w in ((qp.eta1, lat.omega1), (qp.eta2, lat.omega2)):
+        z = zeta(lat, w)
+        a, b = c11 * w.real + c12 * w.imag, c21 * w.real + c22 * w.imag
+        bound = 2 * lat.tolerance * (abs(z) + pref * (2 + abs(a) + abs(b)))
+        assert abs(eta - 2 * z) <= bound, (eta, 2 * z, bound)
 
 
 # -- property tests over random lattices ---------------------------------------
