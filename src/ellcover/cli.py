@@ -460,12 +460,11 @@ def _cmd_verify_kdv(args) -> list[dict]:
     res_stencil, res_chain = kdv_residual(wave, grid, ("stencil", "chain"))
     perio = periodicity_check(wave)
     z0 = 0.31 * 2 * lat.omega1 + 0.23 * 2 * lat.omega2
+    points = [z0, *(z0 + p for p in lat.periods)]
     mono = 0.0
     for j in (1, 2):
-        # scalar calls: an array call differs from them in the last bits
-        base = monodromy_factor(lat, j, z0)
-        for p in lat.periods:
-            mono = max(mono, abs(monodromy_factor(lat, j, z0 + p) / base - 1.0))
+        base, *shifted = monodromy_factor(lat, j, points).tolist()
+        mono = max(mono, *(abs(phi / base - 1.0) for phi in shifted))
     per_tol = 10.0 * lat.tolerance
     bounds = [
         ("4.2 KdV residual", res_stencil, args.residual_tol),

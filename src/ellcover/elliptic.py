@@ -26,16 +26,16 @@ Gauss-reduced internally first, so Im(tau) >= sqrt(3)/2 and a rigorous
 geometric tail bound picks the series order from the requested precision.
 wp, wp' and zeta share one kernel: the two rows nearest z in closed form,
 every other row through a Lambert series whose coefficients are fixed per
-lattice, so a point costs one exponential, three divisions and one small
-matrix product.  zeta needs no quasi-period first: its linear term takes z
-itself, and Legendre's relation turns each shift by q2 into -2*pi*i/q1.  The
-eta_j follow from that term in closed form, with neither the kernel nor
-numpy, which only the kernel, its coefficients and `reduce` import.
-Points run in blocks that keep the power table near 1 MB, and each block
-does all of its work, from the reduction into the cell to its finished
-values, in one-block buffers, so an array's values are its blocks' values
-(the last points of a short last block can move by a few ulps); see
-`Lattice._evaluate`.  A brute-force truncated lattice sum is kept as an
+lattice, summed by Horner's rule, so a point costs one exponential, three
+divisions and one multiply-add per series row.  zeta needs no quasi-period
+first: its linear term takes z itself, and Legendre's relation turns each
+shift by q2 into -2*pi*i/q1.  The eta_j follow from that term in closed
+form, with neither the kernel nor numpy, which only the kernel and `reduce`
+import.  Points run in blocks, each doing all of its work, from the
+reduction into the cell to its finished values, in one-block buffers, and
+every step is elementwise: a value depends only on (lattice, point),
+whether it comes from a scalar call, a prefix or a slice of a longer array;
+see `Lattice._evaluate`.  A brute-force truncated lattice sum is kept as an
 independent cross-check in `elliptic_reference`.
 
 Half-period representatives are fixed once and indexed 0..3:
@@ -70,8 +70,8 @@ _MAX_ROWS = 512
 
 _EPS = 2.0**-52  # float64 machine epsilon
 
-#: Values in the power table of one block of `Lattice._evaluate` (1 MB of complex128).
-_BLOCK_ELEMS = 1 << 16
+#: Points per block of `Lattice._evaluate`: 256 KiB for E and G side by side.
+_BLOCK_POINTS = 1 << 13
 
 #: Power p of j in the series coefficients j^p * L_j of each function.
 _SERIES_POWER = {"zeta": 0, "wp": 1, "wp_prime": 2}
@@ -214,35 +214,16 @@ class Lattice:
 
     @cached_property
     def _lj(self) -> list[complex]:
-        """L_j = q^(2j)/(1 - q^(2j)), j = 1..rows, for `_lambert` and `_row_constant`."""
+        """L_j = q^(2j)/(1 - q^(2j)), j = 1..rows, for `_series` and `_row_constant`."""
         powers = [cmath.exp(TWO_PI_I * self._tau * j) for j in range(1, self._rows + 1)]
         return [x / (1.0 - x) for x in powers]
 
     @cached_property
-    def _lambert(self) -> np.ndarray:
-        """Coefficient matrix of `_evaluate`, whose rows p = 0, 1, 2 sum the
-        terms of zeta, wp and wp'.
-
-        Column 2i weighs the E-part of power-table row i and column 2i + 1
-        its G-part, which enters with sign_p = -1, 1, -1.  Table row i < rows
-        holds x^j, j = i + 1, with coefficient j^p * L_j (`_lj`); table row
-        rows + p holds the closed-form f_p, with coefficient 1."""
-        import numpy as np
-        rows = self._rows
-        j = np.arange(1, rows + 1)
-        lj = np.array(self._lj)
-        coef = np.zeros((3, rows + 3, 2), complex)
-        for p, sign in enumerate((-1.0, 1.0, -1.0)):
-            coef[p, :rows, 0] = j**p * lj
-            coef[p, rows + p, 0] = 1.0
-            coef[p, :, 1] = sign * coef[p, :, 0]
-        return coef.reshape(3, -1)
-
-    @cached_property
-    def _block(self) -> int:
-        """Points per block of `_evaluate`: a block's power table holds at most
-        _BLOCK_ELEMS values."""
-        return max(1, _BLOCK_ELEMS // (2 * self._rows + 6))
+    def _series(self) -> tuple[tuple[complex, ...], ...]:
+        """Lambert series coefficients of `_evaluate` in Horner's order: row
+        p = 0, 1, 2 (zeta, wp, wp') holds j^p * L_j (`_lj`) for j = rows..1."""
+        terms = list(enumerate(self._lj, 1))[::-1]
+        return tuple(tuple(j**p * lj for j, lj in terms) for p in range(3))
 
     @cached_property
     def _row_constant(self) -> complex:
@@ -271,8 +252,9 @@ class Lattice:
 
     # -- the kernel ----------------------------------------------------------
 
-    def _evaluate(self, z, name: str) -> np.ndarray:
-        """The function `name` ("wp", "wp_prime" or "zeta") at z, shaped like z.
+    def _evaluate(self, z, name: str):
+        """The function `name` ("wp", "wp_prime" or "zeta") at z, shaped like z
+        (a complex for a 0-d z).
 
         z is reduced into the centered cell of the reduced basis (q1, q2) as
         zr = z - m*q1 - n*q2.  Raises ValueError for a non-finite point,
@@ -293,10 +275,9 @@ class Lattice:
         evaluated in closed form.  Every other row is n >= 1 at s = x*q^(2n)
         with x = E or x = G, and the Lambert identity
         sum_{n>=1} fp(x*q^(2n)) = sum_{j>=1} j^p * L_j * x^j sums them all,
-        truncated after j = rows (see `_rows`).  A power table holds x^j for
-        j = 1..rows and both x, then the closed-form rows, and one product
-        with the per-lattice `_lambert` matrix adds it all up.  Per point
-        that is one exponential and three divisions, however many rows.
+        truncated after j = rows (see `_rows`), by Horner's rule over the
+        per-lattice coefficients `_series`.  Per point that is one
+        exponential, three divisions and one multiply-add per row.
 
         zeta is a q1-periodic cot part plus k^2*c*zr, k = pi/q1 and
         c = `_row_constant`, so eta(q1) = k^2*c*q1 (DLMF 23.8) and Legendre's
@@ -304,22 +285,22 @@ class Lattice:
         correction m*eta(q1) + n*eta(q2) folds into the linear term, which
         takes z itself, and each shift by q2 adds -2*pi*i/q1.
 
-        Layout.  The points run in blocks of `_block` points from index 0 (a
-        power table near 1 MB).  Each block is reduced, checked against the
-        poles, reflected, exponentiated, tabled, summed by one `np.dot` and
-        finished straight into the output, the only array as long as z;
-        every other buffer holds one block and is made once per call, and
-        nothing is kept between calls, so a Lattice is safe to share.
+        Layout.  The points run in blocks of `_BLOCK_POINTS` from index 0.
+        Each block is reduced, checked against the poles, reflected,
+        exponentiated, summed and finished straight into the output, the
+        only array as long as z; every other buffer holds one block and is
+        made once per call, and nothing is kept between calls, so a Lattice
+        is safe to share.
 
-        numpy (2.4) rounds a row of np.dot by the row count of its block, a
-        complex product by its operand order and by whether its output is an
-        input, and an expression on a temporary of 256 KiB (16,384 complex
-        values) or more in place with a product's operands swapped.  So the
-        blocks keep their boundaries, every product its written order, only
-        the exact reflection and factor 2i run in place, and a block holds
-        at most _BLOCK_ELEMS // (2*6 + 6) = 3,640 points (at the fewest rows,
-        6): an array's values are its blocks' values, but the final points
-        of a short last block can move by a few ulps against a longer array.
+        A value depends only on (lattice, point): every step is elementwise
+        and no numpy (2.4) rounding that moves with an array's length is
+        reached.  A complex product rounds by its operand order, and by
+        whether its output is an input on a one-value array; an expression
+        on a temporary of 256 KiB (16,384 complex values) or more runs in
+        place with a product's operands swapped.  So every product keeps its
+        written order, the products in place (the exact reflection and
+        factor 2i aside) run on E and G side by side, two values or more,
+        and a block's finishing expressions stay below 16,384 values.
         """
         import numpy as np
         arr = np.asarray(z, dtype=complex)
@@ -328,21 +309,20 @@ class Lattice:
         q1, q2 = self._reduced
         c11, c12, c21, c22 = self._coordinates
         k = math.pi / q1
-        rows, qq = self._rows, self._q2
-        # p = 0 (zeta), 1 (wp), 2 (wp'); the table needs f0..f_p
+        qq = self._q2
+        # p = 0 (zeta), 1 (wp), 2 (wp'); the n < 0 rows enter with sign -1, 1, -1
         p = _SERIES_POWER[name]
-        height = rows + p + 1
-        coef = self._lambert[p, : 2 * height]
+        lead, *series = self._series[p]
+        combine = np.add if p == 1 else np.subtract
         flat = arr.reshape(-1)
         size = flat.size
-        width = max(1, min(self._block, size))
+        width = max(1, min(_BLOCK_POINTS, size))
         out = np.empty(size, complex)
-        # block buffers: the power table, whose row i holds the values at the
-        # block's points for E, then for G: x^(i+1), then f0..f_p; 1 - s; v,
-        # 2iv, then the dot products; the parity, |zr| and a real temporary;
-        # zr, m and n
-        table = np.empty(2 * height * width, complex)
-        ds, ws = np.empty(2 * width, complex), np.empty(width, complex)
+        # block buffers: x = E, then G, at the block's points, then f1; the
+        # Horner sum, then f0 or f2; 1 - x, 1/(1 - x), then f0 + d; v, 2iv,
+        # then the sums; the parity, |zr| and a real temporary; zr, m and n
+        xs, hs, ds = (np.empty(2 * width, complex) for _ in range(3))
+        ws = np.empty(width, complex)
         parity, rs = np.empty(width), np.empty(width)
         cells, ms, ns = np.empty(width, complex), np.empty(width), np.empty(width)
         closest = math.inf
@@ -369,29 +349,29 @@ class Lattice:
             np.copysign(1.0, w.imag, out=sign)
             w *= sign
             w *= 2j
-            x = table[: 2 * height * nb].reshape(height, 2 * nb)
-            s, e, g = x[0], x[0, :nb], x[0, nb:]
-            np.exp(w, out=e)
+            x, h, d = xs[: 2 * nb], hs[: 2 * nb], ds[: 2 * nb]
+            np.exp(w, out=x[:nb])
             if qq:
-                np.divide(qq, e, out=g)
+                np.divide(qq, x[:nb], out=x[nb:])
             else:  # q^2 underflowed, and E may have too: G is below any precision
-                g[:] = 0.0
-            # x^(j+1)..x^(2j) from x^1..x^j, doubling j
-            j = 1
-            while j < rows:
-                c = min(j, rows - j)
-                np.multiply(x[:c], x[j - 1], out=x[j : j + c])
-                j += c
-            # rows 0 and -1 in closed form, after the powers
-            d = np.subtract(1.0, s, out=ds[: 2 * nb])
+                x[nb:] = 0.0
+            # every row but 0 and -1: sum_j j^p * L_j * x^j, highest j first
+            np.multiply(lead, x, out=h)
+            for a in series:
+                h += a
+                h *= x
+            sums = combine(h[:nb], h[nb:], out=w)
+            # rows 0 and -1 in closed form: f0 = x*d, f1 = f0*d and
+            # f2 = (f0 + d)*f1 with d = 1/(1 - x)
+            np.subtract(1.0, x, out=d)
             np.divide(1.0, d, out=d)
-            f = x[rows:]
-            np.multiply(s, d, out=f[0])
+            f = np.multiply(x, d, out=h)
             if p > 0:
-                np.multiply(f[0], d, out=f[1])
-            if p > 1:  # f0 + d = (1 + s)/(1 - s)
-                np.multiply(np.add(f[0], d, out=d), f[1], out=f[2])
-            sums = np.dot(x.reshape(2 * height, nb).T, coef, out=w)
+                f = np.multiply(f, d, out=x)
+            if p > 1:  # f0 + d = (1 + x)/(1 - x)
+                f = np.multiply(np.add(h, d, out=d), x, out=h)
+            sums += f[:nb]
+            combine(sums, f[nb:], out=sums)
             if name == "wp":
                 out[blk] = -(k**2) * (4.0 * sums + self._row_constant)
             elif name == "wp_prime":
@@ -404,7 +384,7 @@ class Lattice:
                 f"point within {float(closest):.3e} of a lattice point "
                 f"(exclusion radius {self.pole_radius:.3e})"
             )
-        return out.reshape(arr.shape)
+        return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def half_period(lattice: Lattice, index: HalfPeriodIndex | int) -> complex:
@@ -434,14 +414,12 @@ def reduce(lattice: Lattice, z):
 
 def wp(lattice: Lattice, z):
     """Weierstrass P-function. Raises PoleProximity near lattice points."""
-    out = lattice._evaluate(z, "wp")
-    return complex(out) if out.ndim == 0 else out
+    return lattice._evaluate(z, "wp")
 
 
 def wp_prime(lattice: Lattice, z):
     """Derivative of the P-function (odd)."""
-    out = lattice._evaluate(z, "wp_prime")
-    return complex(out) if out.ndim == 0 else out
+    return lattice._evaluate(z, "wp_prime")
 
 
 def zeta(lattice: Lattice, z):
@@ -451,8 +429,7 @@ def zeta(lattice: Lattice, z):
     point itself and each shift by the reduced q2 adds -2*pi*i/q1 (Legendre's
     relation), which is the quasi-period correction.
     """
-    out = lattice._evaluate(z, "zeta")
-    return complex(out) if out.ndim == 0 else out
+    return lattice._evaluate(z, "zeta")
 
 
 def quasi_periods(lattice: Lattice) -> QuasiPeriods:

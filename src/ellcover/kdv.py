@@ -240,7 +240,9 @@ def monodromy_factor(lattice: Lattice, j: int, z):
     Multiplying z by a period multiplies the exponent by a Legendre-relation
     combination, so the factor is period-invariant up to the Legendre defect.
     A factor out of float range (a tall lattice) raises FloatingPointError
-    rather than becoming inf, whose ratios would be NaN.
+    rather than becoming inf, whose ratios would be NaN.  Every input runs
+    as one flat array, each product in its own output, so a factor depends
+    only on (lattice, j, z), as zeta's value does.
     """
     if j not in (1, 2):
         raise InvalidInvariants(f"period index must be 1 or 2, got {j}")
@@ -248,7 +250,9 @@ def monodromy_factor(lattice: Lattice, j: int, z):
     omega = lattice.omega1 if j == 1 else lattice.omega2
     eta = qp.eta1 if j == 1 else qp.eta2
     zz = np.asarray(z, complex)
-    exponent = 2.0 * omega * zeta(lattice, zz) - eta * zz
+    flat = zz.reshape(-1)
+    exponent = np.multiply(2.0 * omega, zeta(lattice, flat))
+    exponent -= eta * flat
     with np.errstate(over="raise", invalid="raise"):
         out = np.exp(exponent)
-    return complex(out) if zz.ndim == 0 else out
+    return complex(out[0]) if zz.ndim == 0 else out.reshape(zz.shape)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import interior_points, random_lattice
 from ellcover import elliptic_reference as ref
 from ellcover.elliptic import (
+    _BLOCK_POINTS,
     HalfPeriodIndex,
     Lattice,
     half_period,
@@ -20,6 +21,7 @@ from ellcover.elliptic import (
     zeta,
 )
 from ellcover.errors import PoleProximity
+from ellcover.kdv import monodromy_factor
 
 
 # -- lattice construction ----------------------------------------------------
@@ -390,8 +392,8 @@ def test_kernel_on_hard_lattices(omega1, omega2, precision):
     pts = _hard_points(lat)
 
     # a 2-D input longer than one block, not a multiple of it, against scalars
-    grid = np.tile(pts, (lat._block // pts.size + 2, 1))
-    assert grid.size > lat._block and grid.size % lat._block
+    grid = np.tile(pts, (_BLOCK_POINTS // pts.size + 2, 1))
+    assert grid.size > _BLOCK_POINTS and grid.size % _BLOCK_POINTS
     scalars = {}
     for f, _, _, k in _KERNEL_FUNCS:
         scalars[f] = np.array([f(lat, complex(z)) for z in pts])
@@ -562,12 +564,12 @@ def test_change_of_basis_leaves_the_functions_unchanged(seed):
 
 # -- the block loop ------------------------------------------------------------
 
-#: Reduced first period (0.6 + 1.7i)*pi, not real: 7 series rows, 3,276-point blocks.
+#: Reduced first period (0.6 + 1.7i)*pi, not real: 7 series rows.
 BLOCKED = Lattice(math.pi, complex(0.3, 0.85) * math.pi)
 
 
 def _blocks_of_points(seed: int, blocks: float) -> np.ndarray:
-    return interior_points(BLOCKED, np.random.default_rng(seed), int(blocks * BLOCKED._block))
+    return interior_points(BLOCKED, np.random.default_rng(seed), int(blocks * _BLOCK_POINTS))
 
 
 @pytest.mark.parametrize("f", [wp, wp_prime, zeta])
@@ -577,7 +579,7 @@ def test_pole_in_a_middle_block_is_reported_like_one_point(f):
     radius = BLOCKED.pole_radius
     nearest = p1 + 0.3 * radius * 1j
     pts[100] = p1 + 0.9 * radius  # inside the radius too, in the first block
-    pts[BLOCKED._block + 7] = nearest
+    pts[_BLOCK_POINTS + 7] = nearest
     with pytest.raises(PoleProximity) as single:
         f(BLOCKED, nearest)
     with pytest.raises(PoleProximity) as blocked:
@@ -624,13 +626,13 @@ def test_zeta_quasi_periodicity_across_blocks():
 # -- one block at a time ---------------------------------------------------------
 
 
-def _spread_points(seed: int, count: int) -> np.ndarray:
+def _spread_points(seed: int, count: int, lat: Lattice = BLOCKED) -> np.ndarray:
     """Interior points shifted by up to three periods each way, so that the
     reduction acts and zeta's linear and q2-shift terms take the shift."""
     rng = np.random.default_rng(seed)
-    p1, p2 = BLOCKED.periods
+    p1, p2 = lat.periods
     m, n = rng.integers(-3, 4, (2, count))
-    return interior_points(BLOCKED, rng, count) + m * p1 + n * p2
+    return interior_points(lat, rng, count) + m * p1 + n * p2
 
 
 @pytest.mark.parametrize("f", [wp, wp_prime, zeta])
@@ -638,7 +640,7 @@ def test_a_call_gives_its_blocks_values(f):
     # 40,000 points, past the 16,384 at which numpy evaluates an expression
     # on a temporary in place
     z = _spread_points(14, 40_000)
-    width = BLOCKED._block
+    width = _BLOCK_POINTS
     whole = f(BLOCKED, z)
     pieces = [f(BLOCKED, z[lo : lo + width]) for lo in range(0, z.size, width)]
     assert np.array_equal(whole, np.concatenate(pieces))
@@ -646,12 +648,51 @@ def test_a_call_gives_its_blocks_values(f):
         assert np.array_equal(whole[: k * width], f(BLOCKED, z[: k * width])), k
 
 
+def _phi1(lattice, z):
+    return monodromy_factor(lattice, 1, z)
+
+
+def _phi2(lattice, z):
+    return monodromy_factor(lattice, 2, z)
+
+
+#: 8 series rows, one more Horner step than BLOCKED.
+EIGHT_ROWS = Lattice(1, complex(0.45, 0.9))
+
+
+@pytest.mark.parametrize("f", [wp, wp_prime, zeta, _phi1, _phi2])
+@pytest.mark.parametrize("lat", [BLOCKED, EIGHT_ROWS], ids=["7-rows", "8-rows"])
+def test_a_value_depends_only_on_its_point(lat, f):
+    assert lat._rows == (7 if lat is BLOCKED else 8)
+    z = _spread_points(16, 2 * _BLOCK_POINTS + 600, lat)
+    whole = f(lat, z)
+    cuts = np.sort(np.random.default_rng(17).choice(np.arange(1, z.size), 12, replace=False))
+    assert np.array_equal(whole, np.concatenate([f(lat, piece) for piece in np.split(z, cuts)]))
+    # every prefix length near the block edges at 0 and _BLOCK_POINTS
+    for size in [*range(1, 33), *range(_BLOCK_POINTS - 16, _BLOCK_POINTS + 17)]:
+        assert np.array_equal(whole[:size], f(lat, z[:size])), size
+    for lo in [*range(0, z.size - 13, 499), _BLOCK_POINTS - 6, 2 * _BLOCK_POINTS - 6]:
+        assert np.array_equal(whole[lo : lo + 13], f(lat, z[lo : lo + 13])), lo
+    for i in range(0, z.size, 83):
+        assert f(lat, complex(z[i])) == whole[i], i
+
+
+def test_the_kernel_calls_no_blas(monkeypatch):
+    # a BLAS call can stall on its threads when the process is not pinned
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel called BLAS")
+
+    for name in ("dot", "matmul", "vdot"):
+        monkeypatch.setattr(np, name, refuse)
+    z = _blocks_of_points(18, 2.5)
+    for f in (wp, wp_prime, zeta):
+        assert f(BLOCKED, z).shape == z.shape
+
+
 def test_the_largest_block_stays_below_numpys_in_place_size():
-    # the fewest series rows give the most points per block; a block of
-    # 16,384 complex values (256 KiB) or more would round by the array's length
-    lat = Lattice(1, 100j)
-    assert lat._rows == 6
-    assert lat._block < 16_384
+    # a block's finishing expressions on 16,384 complex values (256 KiB) or
+    # more would run in place and round by the array's length
+    assert _BLOCK_POINTS < 16_384
 
 
 @pytest.mark.parametrize("f", [wp, wp_prime, zeta])
