@@ -30,10 +30,11 @@ that fails mid-stream (a full disk, say) leaves a truncated --output file
 or partial stdout; nothing is rolled back.  Data goes to stdout,
 diagnostics to stderr.  There are no environment knobs.
 
-An integer subcommand's child loads argparse and the package's integer
-layer, never numpy or `dataclasses`: the records of `invariants` and of
-`picard`, which only `picard-genus` imports, share one slotted base.  It
-loads `fractions` only through `picard`, and `csv` never.
+No child imports `dataclasses`: every record of the package, numeric ones
+included, is a NamedTuple or shares one slotted base.  An integer
+subcommand's child loads argparse and the package's integer layer, never
+numpy; it loads `fractions` only through `picard`, which only
+`picard-genus` imports, and `csv` never.
 The elliptic and kdv names used by `verify-kdv` are bound into this module
 on first use (or on first attribute access from outside); `legendre` binds
 only the elliptic ones, and so imports neither kdv nor numpy.
@@ -312,6 +313,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _precision(text: str) -> float:
+    value = _tolerance(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"precision must be positive, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns an iterable of its rows
 # ---------------------------------------------------------------------------
@@ -522,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("legendre", help="quasi-period constants and Legendre defect")
     p.add_argument("--omega1", type=_finite_complex, required=True)
     p.add_argument("--omega2", type=_finite_complex, required=True)
-    p.add_argument("--precision", type=_tolerance, default=1e-12)
+    p.add_argument("--precision", type=_precision, default=1e-12)
     p.set_defaults(handler=_cmd_legendre)
 
     p = sub.add_parser("enumerate-types", help="all admissible types for (n, d)")
@@ -566,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_finite_complex, default=0j)
     p.add_argument("--x0", type=_finite_complex, default=0j)
     p.add_argument("--grid", type=_parse_ints(2), default=None, metavar="NX,NT")
-    p.add_argument("--precision", type=_tolerance, default=1e-12)
+    p.add_argument("--precision", type=_precision, default=1e-12)
     p.add_argument("--residual-tol", type=_tolerance, default=1e-6,
                    help="absolute bound on the KdV residual and the backend gap, "
                    "calibrated for |2*omega1| near 2*pi (default 1e-6)")

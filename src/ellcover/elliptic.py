@@ -52,11 +52,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
 from .errors import ConvergenceFailure, PoleProximity
+from .invariants import _Slotted
 
 TWO_PI_I = 2j * math.pi
 
@@ -86,12 +86,13 @@ class HalfPeriodIndex(IntEnum):
     SUM = 3
 
 
-@dataclass(frozen=True)
-class QuasiPeriods:
+class QuasiPeriods(_Slotted):
     """Additive monodromy constants of zeta along the two periods."""
 
-    eta1: complex
-    eta2: complex
+    __slots__ = ("eta1", "eta2")
+
+    def __init__(self, eta1: complex, eta2: complex):
+        self._store(eta1, eta2)
 
 
 def _gauss_reduce(p1: complex, p2: complex) -> tuple[complex, complex]:
@@ -117,8 +118,7 @@ def _inverse_basis(p1: complex, p2: complex):
     return (p2.imag / det, -p2.real / det, -p1.imag / det, p1.real / det)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Slotted):
     """Rank-2 period lattice spanned by 2*omega1 and 2*omega2.
 
     `precision` (clamped to the f64 floor of 1e-12) bounds the error of a
@@ -129,21 +129,17 @@ class Lattice:
     reduced basis), zeta's bound is precision * (|f| + (pi/L)*(1 + |m| + |n|)).
     """
 
-    omega1: complex
-    omega2: complex
-    precision: float = 1e-12
+    _fields = ("omega1", "omega2", "precision")
 
-    def __post_init__(self):
-        w1 = complex(self.omega1)
-        w2 = complex(self.omega2)
-        if not (cmath.isfinite(w1) and cmath.isfinite(w2) and math.isfinite(self.precision)):
+    def __init__(self, omega1: complex, omega2: complex, precision: float = 1e-12):
+        w1, w2 = complex(omega1), complex(omega2)
+        if not (cmath.isfinite(w1) and cmath.isfinite(w2) and math.isfinite(precision)):
             raise ValueError("half-periods and precision must be finite")
         if w1 == 0 or w2 == 0 or not (w2 / w1).imag > 0:
             raise ValueError("need Im(omega2/omega1) > 0 for an oriented basis")
-        if not self.precision > 0:
+        if not precision > 0:
             raise ValueError("precision must be positive")
-        object.__setattr__(self, "omega1", w1)
-        object.__setattr__(self, "omega2", w2)
+        self._store(w1, w2, precision)
 
     # -- derived, immutable geometry ---------------------------------------
 

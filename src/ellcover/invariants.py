@@ -24,10 +24,10 @@ admissible types of arbitrarily high genus, and `family_params` maps the
 six explicit family constructions ("6.13".."6.18") to their (genus, degree).
 
 The records are NamedTuples where tuple semantics fit, and slotted classes
-(`_Slotted`, also the base of `picard`'s records) where a record must not
-equal a tuple (`TypeVector`) or iterates as less than its fields
-(`FamilyParams`); none needs `dataclasses`, which an integer CLI child
-would otherwise import for them alone.
+(`_Slotted`, also the base of `picard`'s and the numeric records) where a
+record must not equal a tuple (`TypeVector`) or iterates as less than its
+fields (`FamilyParams`); no module needs `dataclasses`, which a CLI child
+would otherwise import for its records alone.
 """
 
 from __future__ import annotations
@@ -68,19 +68,24 @@ def _integers(name: str, values, count: int,
 
 
 class _Slotted:
-    """Base of the slotted records: immutable, equal only to a record of the
-    same class with equal fields (`__slots__`, in order), hashed by those
-    fields, and shown as Name(field=value, ...)."""
+    """Base of the slotted records of every layer, numeric ones included:
+    immutable, equal only to a record of the same class with equal fields,
+    hashed by those fields, and shown as Name(field=value, ...).  The fields,
+    in order, are `__slots__`, unless the class declares `_fields` itself, as
+    `elliptic.Lattice` does to keep a `__dict__` for its cached values."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
     def _store(self, *values) -> None:
-        """Fill the slots, in order, with the values a subclass's __init__ checked."""
-        for name, value in zip(self.__slots__, values):
+        """Fill the fields, in order, with the values a subclass's __init__ checked."""
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -91,7 +96,7 @@ class _Slotted:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):

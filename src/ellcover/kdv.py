@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
 from numbers import Integral, Number, Real
 
 import numpy as np
 
 from .elliptic import Lattice, quasi_periods, wp, wp_prime, zeta
 from .errors import InvalidInvariants
+from .invariants import _Slotted
 
 #: Default x spacing as a fraction of the first period length.
 _HX_FACTOR = 2.4e-4
@@ -62,25 +61,25 @@ _HT_FACTOR = 8.0e-5
 _TILE_POINTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class TravelingWave:
+class TravelingWave(_Slotted):
     """Elliptic traveling wave with level `lam` and phase shift `x0`.
 
     `speed` overrides the exact traveling speed 3*lam/2 (diagnostic use:
     a wrong speed leaves an O(1) equation residual)."""
 
-    lattice: Lattice
-    lam: complex = 0.0
-    x0: complex = 0.0
-    speed: complex | None = None
+    __slots__ = ("lattice", "lam", "x0", "speed")
 
-    def __post_init__(self):
-        for name in ("lam", "x0") if self.speed is None else ("lam", "x0", "speed"):
-            value = getattr(self, name)
+    def __init__(self, lattice: Lattice, lam: complex = 0.0, x0: complex = 0.0,
+                 speed: complex | None = None):
+        if not isinstance(lattice, Lattice):
+            raise InvalidInvariants(f"lattice: expected a Lattice, got {lattice!r}")
+        numbers = (lam, x0) if speed is None else (lam, x0, speed)
+        for name, value in zip(("lam", "x0", "speed"), numbers):
             if not (isinstance(value, Number) and cmath.isfinite(value)):
                 raise InvalidInvariants(f"{name}: need a finite number, got {value!r}")
+        self._store(lattice, lam, x0, speed)
 
-    @cached_property
+    @property
     def velocity(self) -> complex:
         return 1.5 * self.lam if self.speed is None else self.speed
 
@@ -101,38 +100,33 @@ class TravelingWave:
         return -2.0 * self.velocity * wp_prime(self.lattice, self.phase(x, t))
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(_Slotted):
     """Sampling grid for residual evaluation.
 
     nx points spaced hx in x, nt points spaced ht in t, centered at
     (x_center, 0); x_center defaults to the first half-period, where the
     wave profile is flattest.  Only second-order stencils are implemented."""
 
-    nx: int = 200
-    hx: float = 1.5e-3
-    nt: int = 20
-    ht: float = 5.0e-4
-    x_center: complex | None = None
+    __slots__ = ("nx", "hx", "nt", "ht", "x_center")
 
-    def __post_init__(self):
-        for name, low in (("nx", 5), ("nt", 3)):
-            value = getattr(self, name)
+    def __init__(self, nx: int = 200, hx: float = 1.5e-3, nt: int = 20, ht: float = 5.0e-4,
+                 x_center: complex | None = None):
+        for name, value, low in (("nx", nx, 5), ("nt", nt, 3)):
             if type(value) is bool or not isinstance(value, Integral) or value < low:
                 raise InvalidInvariants(
                     f"{name}: need an integer >= {low} for the stencils, got {value!r}")
-        for name in ("hx", "ht"):
-            value = getattr(self, name)
+        for name, value in (("hx", hx), ("ht", ht)):
             if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
                 raise InvalidInvariants(f"{name}: need a finite spacing > 0, got {value!r}")
-        center = self.x_center
-        if not (center is None or isinstance(center, Number) and cmath.isfinite(center)):
-            raise InvalidInvariants(f"x_center: need a finite number, got {center!r}")
+        if not (x_center is None or isinstance(x_center, Number) and cmath.isfinite(x_center)):
+            raise InvalidInvariants(f"x_center: need a finite number, got {x_center!r}")
+        self._store(nx, hx, nt, ht, x_center)
 
     @classmethod
-    def for_lattice(cls, lattice: Lattice, nx: int = 200, nt: int = 20) -> "Grid":
+    def for_lattice(cls, lattice: Lattice, nx: int = 200, nt: int = 20,
+                    x_center: complex | None = None) -> Grid:
         scale = abs(2 * lattice.omega1)
-        return cls(nx=nx, hx=_HX_FACTOR * scale, nt=nt, ht=_HT_FACTOR * scale)
+        return cls(nx, _HX_FACTOR * scale, nt, _HT_FACTOR * scale, x_center)
 
     def x_samples(self, lattice: Lattice) -> np.ndarray:
         center = self.x_center if self.x_center is not None else lattice.omega1
@@ -216,7 +210,7 @@ def shift_defect(
 ) -> float:
     """max |u(x + s, t) - u(x, t)| over default samples and every shift s,
     with u(x, t) evaluated once: one more evaluation of u per shift."""
-    grid = replace(Grid.for_lattice(wave.lattice, nx=nx, nt=nt), x_center=x_center)
+    grid = Grid.for_lattice(wave.lattice, nx, nt, x_center)
     X = grid.x_samples(wave.lattice)[:, None]
     T = grid.t_samples()[None, :]
     U = wave.u(X, T)

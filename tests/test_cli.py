@@ -275,10 +275,14 @@ def test_non_finite_wave_parameter_names_its_flag(flag, value):
         assert b"Warning" not in res.stderr and b"Traceback" not in res.stderr
 
 
-def test_zero_precision_passes_the_parser_and_fails_in_lattice():
-    res = run_cli("legendre", "--omega1", "0.5", "--omega2", "0.5i", "--precision", "0")
-    assert res.returncode == 2 and res.stdout == b""
-    assert res.stderr == b"error: precision must be positive\n"
+def test_zero_precision_is_a_usage_error_naming_its_flag():
+    for command in ("legendre", "verify-kdv"):
+        res = run_cli(command, "--omega1", "0.5", "--omega2", "0.5i", "--precision", "0")
+        assert res.returncode == 2 and res.stdout == b""
+        assert res.stderr.decode().splitlines()[-1] == (
+            f"ellcover {command}: error: argument --precision: precision must be positive, got '0'")
+    with pytest.raises(ValueError, match="^precision must be positive$"):
+        cli.Lattice(0.5, 0.5j, 0.0)  # the library's own check stays
 
 
 @pytest.mark.parametrize("text,value", [
@@ -665,11 +669,14 @@ def test_integer_subcommands_import_only_what_they_use():
 
 def test_legendre_loads_neither_numpy_nor_kdv():
     # eta comes in closed form, so legendre binds only the elliptic names and
-    # never reaches the kernel; verify-kdv shows that the probe sees both
+    # never reaches the kernel; verify-kdv shows that the probe sees both.  The
+    # numeric records are slotted too, so neither child loads dataclasses, and
+    # legendre no inspect either (numpy brings its own)
     lattice = ("--omega1", "3.14159", "--omega2", "1+3.4i")
     numeric = {"numpy", "ellcover.kdv"}
-    assert _modules_added("legendre", *lattice) & numeric == set()
-    assert _modules_added("verify-kdv", *lattice, "--grid", "40,8") & numeric == numeric
+    assert _modules_added("legendre", *lattice) & (numeric | {"dataclasses", "inspect"}) == set()
+    added = _modules_added("verify-kdv", *lattice, "--grid", "40,8")
+    assert added & numeric == numeric and "dataclasses" not in added
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,12 +1,14 @@
 import cmath
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_lattice
-from ellcover.elliptic import Lattice, quasi_periods, wp, wp_prime
+from ellcover.elliptic import Lattice, QuasiPeriods, quasi_periods, wp, wp_prime
 from ellcover.errors import InvalidInvariants, PoleProximity
 from ellcover.kdv import (
     Grid,
@@ -239,6 +241,13 @@ def test_wave_rejects_a_non_finite_field_by_name(field, value):
             TravelingWave(LAT, **{field: value})
 
 
+@pytest.mark.parametrize("lattice", ["x", None, (math.pi, math.pi * 1j), Grid()],
+                         ids=["str", "None", "tuple", "Grid"])
+def test_wave_rejects_a_non_lattice_by_name(lattice):
+    with pytest.raises(InvalidInvariants, match="^lattice: expected a Lattice, got "):
+        TravelingWave(lattice)
+
+
 def test_grid_accepts_numpy_numbers():
     g = Grid(nx=np.int64(7), hx=np.float64(1e-3), nt=np.int32(3), ht=np.float32(1e-3),
              x_center=np.float64(math.pi))
@@ -325,3 +334,48 @@ def test_monodromy_random_lattices():
             for p in lat.periods:
                 ratio = monodromy_factor(lat, j, z + p) / monodromy_factor(lat, j, z)
                 assert abs(ratio - 1.0) < 1e-8
+
+
+# -- records --------------------------------------------------------------------
+
+SMALL = Lattice(0.5, 0.5j)
+
+RECORDS = [
+    (Lattice, {"omega1": 0.5 + 0j, "omega2": 0.5j, "precision": 1e-12},
+     "Lattice(omega1=(0.5+0j), omega2=0.5j, precision=1e-12)"),
+    (QuasiPeriods, {"eta1": 1 + 2j, "eta2": 0.25j}, "QuasiPeriods(eta1=(1+2j), eta2=0.25j)"),
+    (TravelingWave, {"lattice": SMALL, "lam": 1.0, "x0": 0.0, "speed": None},
+     "TravelingWave(lattice=Lattice(omega1=(0.5+0j), omega2=0.5j, precision=1e-12), "
+     "lam=1.0, x0=0.0, speed=None)"),
+    (Grid, {"nx": 200, "hx": 1.5e-3, "nt": 20, "ht": 5e-4, "x_center": None},
+     "Grid(nx=200, hx=0.0015, nt=20, ht=0.0005, x_center=None)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_numeric_records_keep_their_value_semantics(cls, fields, text):
+    rec, same = cls(**fields), cls(*fields.values())
+    assert rec == same and hash(rec) == hash(same) and rec is not same
+    assert rec != tuple(fields.values()) and repr(rec) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    for copied in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert copied == rec and hash(copied) == hash(rec) and repr(copied) == text
+
+
+def test_a_lattice_is_its_fields_not_its_cached_values():
+    lat, fresh = Lattice(0.5, 0.5j), Lattice(0.5, 0.5j)
+    assert lat._rows and lat._series and lat._quasi  # computed and cached on lat only
+    assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
+    for name in ("_rows", "_quasi", "tolerance"):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, getattr(lat, name))
+        with pytest.raises(AttributeError):
+            delattr(lat, name)
+    z = np.linspace(0.05, 0.45, 9) + 0.13j
+    for copied in (copy.copy(lat), copy.deepcopy(lat), pickle.loads(pickle.dumps(lat))):
+        assert copied == lat and hash(copied) == hash(lat)
+        assert wp(copied, z).tobytes() == wp(lat, z).tobytes()
