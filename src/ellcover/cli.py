@@ -39,12 +39,17 @@ The elliptic and kdv names used by `verify-kdv` are bound into this module
 on first use (or on first attribute access from outside); `legendre` binds
 only the elliptic ones, and so imports neither kdv nor numpy.
 The argument parser is built once per process.
+
+`main` is the process entry: once the table is flushed it freezes the heap
+(`gc.freeze`) and ends the process through `sys.exit`.  In-process callers
+use `run`, which leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import math
 import os
@@ -615,6 +620,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    """Run the command line and end the process with its exit code.
+
+    After the table is flushed (or the flush has failed), the heap is frozen:
+    `gc.freeze` moves every tracked object to the permanent generation, so the
+    interpreter's shutdown collections have almost nothing left to traverse.
+    The process still ends through `sys.exit`, so atexit handlers, the
+    std-stream flushes and `python -m cProfile` output all run; `os._exit`
+    would drop them.  `gc.disable` would not do: those collections ignore it.
+    In-process callers use `run`, which leaves the collector alone.
+    """
     code = run()
     try:  # a table small enough to stay in the buffer is written here
         sys.stdout.flush()
@@ -623,4 +638,5 @@ def main() -> None:
         # the buffer keeps its bytes; on the null device the exit flush succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
+    gc.freeze()
     sys.exit(code)

@@ -54,6 +54,7 @@ import cmath
 import math
 from enum import IntEnum
 from functools import cached_property
+from numbers import Number, Real
 
 from .errors import ConvergenceFailure, PoleProximity
 from .invariants import _Slotted
@@ -132,6 +133,11 @@ class Lattice(_Slotted):
     _fields = ("omega1", "omega2", "precision")
 
     def __init__(self, omega1: complex, omega2: complex, precision: float = 1e-12):
+        for name, value in (("omega1", omega1), ("omega2", omega2)):
+            if type(value) is bool or not isinstance(value, Number):
+                raise ValueError(f"{name}: need a number, got {value!r}")
+        if type(precision) is bool or not isinstance(precision, Real):
+            raise ValueError(f"precision: need a real number, got {precision!r}")
         w1, w2 = complex(omega1), complex(omega2)
         if not (cmath.isfinite(w1) and cmath.isfinite(w2) and math.isfinite(precision)):
             raise ValueError("half-periods and precision must be finite")

@@ -43,7 +43,6 @@ lattices of diameter around 2*pi (see `Grid.for_lattice`).
 from __future__ import annotations
 
 import cmath
-import math
 from numbers import Integral, Number, Real
 
 import numpy as np
@@ -61,6 +60,11 @@ _HT_FACTOR = 8.0e-5
 _TILE_POINTS = 1 << 14
 
 
+def _finite(value, kind=Number) -> bool:
+    """Whether `value` is a finite number of `kind`; a bool is not one."""
+    return type(value) is not bool and isinstance(value, kind) and cmath.isfinite(value)
+
+
 class TravelingWave(_Slotted):
     """Elliptic traveling wave with level `lam` and phase shift `x0`.
 
@@ -75,7 +79,7 @@ class TravelingWave(_Slotted):
             raise InvalidInvariants(f"lattice: expected a Lattice, got {lattice!r}")
         numbers = (lam, x0) if speed is None else (lam, x0, speed)
         for name, value in zip(("lam", "x0", "speed"), numbers):
-            if not (isinstance(value, Number) and cmath.isfinite(value)):
+            if not _finite(value):
                 raise InvalidInvariants(f"{name}: need a finite number, got {value!r}")
         self._store(lattice, lam, x0, speed)
 
@@ -116,9 +120,9 @@ class Grid(_Slotted):
                 raise InvalidInvariants(
                     f"{name}: need an integer >= {low} for the stencils, got {value!r}")
         for name, value in (("hx", hx), ("ht", ht)):
-            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+            if not (_finite(value, Real) and value > 0):
                 raise InvalidInvariants(f"{name}: need a finite spacing > 0, got {value!r}")
-        if not (x_center is None or isinstance(x_center, Number) and cmath.isfinite(x_center)):
+        if not (x_center is None or _finite(x_center)):
             raise InvalidInvariants(f"x_center: need a finite number, got {x_center!r}")
         self._store(nx, hx, nt, ht, x_center)
 
@@ -238,7 +242,7 @@ def monodromy_factor(lattice: Lattice, j: int, z):
     as one flat array, each product in its own output, so a factor depends
     only on (lattice, j, z), as zeta's value does.
     """
-    if j not in (1, 2):
+    if type(j) is bool or j not in (1, 2):
         raise InvalidInvariants(f"period index must be 1 or 2, got {j}")
     qp = quasi_periods(lattice)
     omega = lattice.omega1 if j == 1 else lattice.omega2

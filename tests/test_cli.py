@@ -14,7 +14,7 @@ from ellcover import cli
 from ellcover import invariants as inv
 from ellcover.cli import _csv_rows, _flat_value, _json_rows, _json_value
 from ellcover.invariants import Placement, Verdict
-from test_golden import COMMANDS as GOLDEN_COMMANDS
+from test_golden import COMMANDS as GOLDEN_COMMANDS, GOLDEN
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -869,6 +869,72 @@ def test_buffered_stdout_failure_is_usage_error():
         )
     assert res.returncode == 2
     assert res.stderr.startswith(b"error: ") and b"Exception ignored" not in res.stderr
+
+
+def _golden_text(name):
+    with open(os.path.join(GOLDEN, name)) as fh:
+        return fh.read()
+
+
+class _RecordingStdout(io.StringIO):
+    """A stdout whose flush is logged in `events` and raises `failure`, if given;
+    `fd` is where `main` puts the null device after a failed flush."""
+
+    def __init__(self, events, fd, failure=None):
+        super().__init__()
+        self.events, self.fd, self.failure = events, fd, failure
+
+    def flush(self):
+        self.events.append("flush")
+        if self.failure is not None:
+            raise self.failure
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("failure, code", [(None, 0), (OSError(28, "No space left on device"), 2)],
+                         ids=["table", "failed-flush"])
+def test_main_freezes_the_heap_after_the_flush_and_then_exits(failure, code, monkeypatch,
+                                                              capsys, tmp_path):
+    events, run = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda: events.append("run") or run(
+        ["family", "--theorem", "6.18", "--alpha", "0,0,0,0"]))
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli.sys, "exit", lambda status: events.append(("exit", status)))
+    # an os._exit would end this test process with status 0 instead of failing the test
+    monkeypatch.setattr(cli.os, "_exit", lambda status: events.append(("os._exit", status)))
+    with open(tmp_path / "stdout", "w") as target:
+        stdout = _RecordingStdout(events, target.fileno(), failure)
+        monkeypatch.setattr(cli.sys, "stdout", stdout)
+        cli.main()
+    assert events == ["run", "flush", "freeze", ("exit", code)]
+    assert stdout.getvalue() == _golden_text("family-6.18.json")
+    assert capsys.readouterr().err == ("" if failure is None else f"error: {failure}\n")
+
+
+def test_main_keeps_atexit_handlers_and_the_exit_code():
+    # os._exit would drop the handler's line; main must end through sys.exit
+    argv = GOLDEN_COMMANDS["check-cover-sg-half-periods-violated"][1]
+    script = ("import atexit, sys\n"
+              "atexit.register(lambda: print('atexit handler ran', file=sys.stderr))\n"
+              "from ellcover.cli import main\n"
+              "main()\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         env=env)
+    assert (res.returncode, res.stderr) == (1, b"atexit handler ran\n")
+    assert res.stdout == run_cli(*argv).stdout
+
+
+def test_main_under_cprofile_prints_its_stats():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-m", "cProfile", "-m", "ellcover", "family",
+                          "--theorem", "6.18", "--alpha", "0,0,0,0"], capture_output=True, env=env)
+    table = _golden_text("family-6.18.json").encode()
+    assert res.returncode == 0 and res.stdout.startswith(table)
+    stats = res.stdout[len(table):]
+    assert b" function calls " in stats and b"Ordered by: " in stats
 
 
 def _out_of_memory(*args):

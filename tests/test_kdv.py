@@ -248,6 +248,30 @@ def test_wave_rejects_a_non_lattice_by_name(lattice):
         TravelingWave(lattice)
 
 
+# field -> (error, message prefix, a call that passes the value as that field)
+NUMERIC_FIELDS = {
+    "omega1": (ValueError, "omega1: ", lambda v: Lattice(v, 0.5j)),
+    "omega2": (ValueError, "omega2: ", lambda v: Lattice(0.5, v)),
+    "precision": (ValueError, "precision: ", lambda v: Lattice(0.5, 0.5j, v)),
+    "lam": (InvalidInvariants, "lam: ", lambda v: TravelingWave(LAT, lam=v)),
+    "x0": (InvalidInvariants, "x0: ", lambda v: TravelingWave(LAT, x0=v)),
+    "speed": (InvalidInvariants, "speed: ", lambda v: TravelingWave(LAT, speed=v)),
+    "hx": (InvalidInvariants, "hx: ", lambda v: Grid(hx=v)),
+    "ht": (InvalidInvariants, "ht: ", lambda v: Grid(ht=v)),
+    "x_center": (InvalidInvariants, "x_center: ", lambda v: Grid(x_center=v)),
+    "j": (InvalidInvariants, "period index must be 1 or 2, got ",
+          lambda v: monodromy_factor(LAT, v, 0.3 + 0.2j)),
+}
+
+
+@pytest.mark.parametrize("value", ["1", True], ids=["str", "bool"])
+@pytest.mark.parametrize("field", list(NUMERIC_FIELDS))
+def test_numeric_fields_reject_strings_and_bools_by_name(field, value):
+    error, prefix, build = NUMERIC_FIELDS[field]
+    with pytest.raises(error, match=f"^{prefix}"):
+        build(value)
+
+
 def test_grid_accepts_numpy_numbers():
     g = Grid(nx=np.int64(7), hx=np.float64(1e-3), nt=np.int32(3), ht=np.float32(1e-3),
              x_center=np.float64(math.pi))
