@@ -30,11 +30,11 @@ that fails mid-stream (a full disk, say) leaves a truncated --output file
 or partial stdout; nothing is rolled back.  Data goes to stdout,
 diagnostics to stderr.  There are no environment knobs.
 
-No child imports `dataclasses`: every record of the package, numeric ones
-included, is a NamedTuple or shares one slotted base.  An integer
-subcommand's child loads argparse and the package's integer layer, never
-numpy; it loads `fractions` only through `picard`, which only
-`picard-genus` imports, and `csv` never.
+No module of the package imports `dataclasses` or `typing` (only numpy
+loads `typing`): every record is a `collections.namedtuple` subclass or
+shares one slotted base.  An integer subcommand's child loads argparse and
+the package's integer layer, never numpy; it loads `fractions` only through
+`picard`, which only `picard-genus` imports, and `csv` never.
 The elliptic and kdv names used by `verify-kdv` are bound into this module
 on first use (or on first attribute access from outside); `legendre` binds
 only the elliptic ones, and so imports neither kdv nor numpy.
@@ -55,7 +55,7 @@ import math
 import os
 import re
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import invariants as inv
 from .errors import EllcoverError, InvalidInvariants
@@ -347,7 +347,7 @@ def _cmd_legendre(args) -> list[dict]:
             "eta2": complex(qp.eta2),
             "defect": defect,
         },
-        "verdicts": [inv.Verdict("4.4 Legendre relation", defect <= tol, defect, tol)],
+        "verdicts": [inv._bound("4.4 Legendre relation", defect, tol)],
     }
     return [row]
 
@@ -478,14 +478,12 @@ def _cmd_verify_kdv(args) -> list[dict]:
     for j in (1, 2):
         base, *shifted = monodromy_factor(lat, j, points).tolist()
         mono = max(mono, *(abs(phi / base - 1.0) for phi in shifted))
-    per_tol = 10.0 * lat.tolerance
-    bounds = [
-        ("4.2 KdV residual", res_stencil, args.residual_tol),
-        ("4.2 backend agreement", abs(res_stencil - res_chain), args.residual_tol),
-        ("4.5 periodicity", perio, per_tol),
-        ("4.5 monodromy", mono, args.monodromy_tol),
+    verdicts = [
+        inv._bound("4.2 KdV residual", res_stencil, args.residual_tol),
+        inv._bound("4.2 backend agreement", abs(res_stencil - res_chain), args.residual_tol),
+        inv._bound("4.5 periodicity", perio, 10.0 * lat.tolerance),
+        inv._bound("4.5 monodromy", mono, args.monodromy_tol),
     ]
-    verdicts = [inv.Verdict(clause, lhs <= rhs, lhs, rhs) for clause, lhs, rhs in bounds]
     row = {
         "inputs": {
             "omega1": complex(lat.omega1),

@@ -23,20 +23,20 @@ squares; `construct_types` realizes the constructive patterns that produce
 admissible types of arbitrarily high genus, and `family_params` maps the
 six explicit family constructions ("6.13".."6.18") to their (genus, degree).
 
-The records are NamedTuples where tuple semantics fit, and slotted classes
-(`_Slotted`, also the base of `picard`'s and the numeric records) where a
-record must not equal a tuple (`TypeVector`) or iterates as less than its
-fields (`FamilyParams`); no module needs `dataclasses`, which a CLI child
-would otherwise import for its records alone.
+Tuple records subclass `collections.namedtuple`; slotted classes (`_Slotted`,
+also the base of `picard`'s and the numeric records) serve where a record
+must not equal a tuple (`TypeVector`) or iterates as less than its fields
+(`FamilyParams`).  No module needs `dataclasses` or `typing`, which a CLI
+child would otherwise import for its records alone.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidInvariants, ParityViolation
 
@@ -44,7 +44,7 @@ Vec4 = tuple[int, int, int, int]
 
 
 def _integers(name: str, values, count: int,
-              low: int | tuple[Optional[int], ...] | None = None) -> tuple[int, ...]:
+              low: int | tuple[int | None, ...] | None = None) -> tuple[int, ...]:
     """`values` as `count` ints; InvalidInvariants naming `name` for another
     count, a non-integer, or a value below `low` when one is given.  `low`
     is one floor for every value, or a tuple of one floor per value (None
@@ -180,11 +180,18 @@ _INDICES = {
 }
 
 
+def _check_placement(placement) -> None:
+    """InvalidInvariants naming `placement` unless it is a Placement (not its value)."""
+    if not isinstance(placement, Placement):
+        raise InvalidInvariants(f"placement: expected a Placement, got {placement!r}")
+
+
 def half_period_indices(placement: Placement, indices) -> tuple[int, ...]:
     """The half-period indices of a placement, validated and sorted: (i0,)
     for same projection, (k, j) for distinct half-periods, () for distinct
-    generic points.  A wrong count, a duplicate or an index outside 0..3
-    raises InvalidInvariants."""
+    generic points.  A placement that is not a Placement, or a wrong count,
+    a duplicate or an index outside 0..3, raises InvalidInvariants."""
+    _check_placement(placement)
     idx = tuple(sorted(indices))
     if idx not in _INDICES[placement]:
         raise InvalidInvariants(
@@ -202,16 +209,12 @@ def flipped_indices(n: int, gamma) -> tuple[int, ...]:
     return tuple([i for i, x in enumerate(gamma) if (x - n) % 2])
 
 
-class Verdict(NamedTuple):
+class Verdict(namedtuple("Verdict", "clause ok lhs rhs informational", defaults=(False,))):
     """Outcome of one named clause: lhs related to rhs, ok iff satisfied.
 
     Informational clauses are reported but do not affect admissibility."""
 
-    clause: str
-    ok: bool
-    lhs: object
-    rhs: object
-    informational: bool = False
+    __slots__ = ()
 
 
 def admissible(verdicts: Iterable[Verdict]) -> bool:
@@ -226,8 +229,8 @@ def violations(verdicts: Iterable[Verdict]) -> list[Verdict]:
     return [v for v in verdicts if not v.ok]
 
 
-def _bound(clause: str, lhs: int, rhs: int, informational: bool = False) -> Verdict:
-    # the tuple constructor: most verdicts are built here or in _m_divides
+def _bound(clause: str, lhs: float, rhs: float, informational: bool = False) -> Verdict:
+    # the tuple constructor: most verdicts (the CLI's bounds too) are built here or in _m_divides
     return tuple.__new__(Verdict, (clause, lhs <= rhs, lhs, rhs, informational))
 
 
@@ -324,6 +327,7 @@ def _two_point(table: str, n, g, gamma, same: bool) -> tuple[int, int, TypeVecto
 
 
 def evaluate_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdict]:
+    _check_placement(placement)
     if placement is Placement.DISTINCT_HALF_PERIODS:
         # the second marked point is the involution image of the first, so a
         # half-period projection forces both points onto the same fiber
@@ -340,16 +344,12 @@ def check_nls_toda(n: int, g: int, gamma, placement: Placement) -> list[Verdict]
     return violations(evaluate_nls_toda(n, g, gamma, placement))
 
 
-def evaluate_sine_gordon(
-    n: int,
-    g: int,
-    gamma,
-    placement: Placement,
-    half_period_pair: Optional[tuple[int, ...]] = None,
-) -> list[Verdict]:
+def evaluate_sine_gordon(n: int, g: int, gamma, placement: Placement,
+                         half_period_pair: tuple[int, ...] | None = None) -> list[Verdict]:
     """Verdicts for a sine-Gordon cover.  `half_period_pair` is the
     placement's index tuple (see `half_period_indices`); when omitted over
     distinct half-periods, 5.6(5) only asks for two flipped indices."""
+    _check_placement(placement)
     if placement is Placement.DISTINCT_GENERIC:
         # involution-fixed marked points always project to half-periods
         raise InvalidInvariants(
@@ -372,13 +372,8 @@ def evaluate_sine_gordon(
             _bound(clause + " genus square bound", term * term, rhs, informational=True)]
 
 
-def check_sine_gordon(
-    n: int,
-    g: int,
-    gamma,
-    placement: Placement,
-    half_period_pair: Optional[tuple[int, ...]] = None,
-) -> list[Verdict]:
+def check_sine_gordon(n: int, g: int, gamma, placement: Placement,
+                      half_period_pair: tuple[int, ...] | None = None) -> list[Verdict]:
     return violations(evaluate_sine_gordon(n, g, gamma, placement, half_period_pair))
 
 
@@ -387,13 +382,11 @@ def check_sine_gordon(
 # ---------------------------------------------------------------------------
 
 
-class EnumeratedType(NamedTuple):
+class EnumeratedType(namedtuple("EnumeratedType", "gamma g verdicts")):
     """One admissible type for (n, d): gamma with its implied genus and the
     full clause evaluation for rho = m = 1."""
 
-    gamma: TypeVector
-    g: int
-    verdicts: tuple[Verdict, ...]
+    __slots__ = ()
 
     def __repr__(self) -> str:  # the verdicts stay out of the repr
         return f"EnumeratedType(gamma={self.gamma!r}, g={self.g!r})"
@@ -466,13 +459,10 @@ def enumerate_types(n: int, d: int) -> list[EnumeratedType]:
 # ---------------------------------------------------------------------------
 
 
-class GeneratedType(NamedTuple):
+class GeneratedType(namedtuple("GeneratedType", "gamma n g verdicts")):
     """A generated type, its degree and genus, and its rho = m = 1 verdicts."""
 
-    gamma: TypeVector
-    n: int
-    g: int
-    verdicts: tuple[Verdict, ...]
+    __slots__ = ()
 
     def __repr__(self) -> str:  # the verdicts stay out of the repr
         return f"GeneratedType(gamma={self.gamma!r}, n={self.n!r}, g={self.g!r})"
@@ -561,10 +551,12 @@ class FamilySpec(namedtuple("FamilySpec", "case alpha at_half_period j0")):
     __slots__ = ()
 
     def __new__(cls, case: str, alpha, at_half_period: bool = False,
-                j0: Optional[int] = None) -> FamilySpec:
+                j0: int | None = None) -> FamilySpec:
         if case not in FAMILY_CASES:
             raise InvalidInvariants(f"case must be one of {FAMILY_CASES}, got {case!r}")
         a = _integers("alpha", alpha, 4, 0)
+        if type(at_half_period) is not bool:
+            raise InvalidInvariants(f"at_half_period: need a bool, got {at_half_period!r}")
         if at_half_period and case not in ("6.13", "6.14"):
             raise InvalidInvariants(f"at_half_period is for 6.13 and 6.14, not {case}")
         if j0 is not None and case != "6.17":
@@ -573,7 +565,7 @@ class FamilySpec(namedtuple("FamilySpec", "case alpha at_half_period j0")):
         if case == "6.14":
             if a == (0, 0, 0, 0):
                 raise InvalidInvariants("case 6.14 requires alpha != 0")
-            if a1 % 2 != bool(at_half_period):
+            if a1 % 2 != at_half_period:
                 raise ParityViolation(
                     "case 6.14 needs a half-period base point exactly when the alpha sum is odd"
                 )

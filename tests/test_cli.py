@@ -614,6 +614,29 @@ def test_integer_subcommands_do_not_import_numpy():
     assert json.loads(res.stdout) == [[argv[0], 0, False] for argv in INTEGER_COMMANDS]
 
 
+def test_integer_and_legendre_children_do_not_import_typing():
+    # -S: without site, no .pth file in site-packages can load typing first
+    legendre = ["legendre", "--omega1", "3.14159", "--omega2", "1+3.4i"]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "out = [['start', None, None, 'typing' in sys.modules]]\n"
+        "from ellcover import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    for fmt in ('json', 'csv'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            code = cli.run([*argv, '--format', fmt])\n"
+        "        out.append([argv[0], fmt, code, 'typing' in sys.modules])\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    commands = INTEGER_COMMANDS + [legendre]
+    res = subprocess.run([sys.executable, "-S", "-c", script, json.dumps(commands)],
+                         capture_output=True, env=env, check=True)
+    assert json.loads(res.stdout) == [["start", None, None, False]] + [
+        [argv[0], fmt, 0, False] for argv in commands for fmt in ("json", "csv")]
+
+
 def test_only_picard_genus_imports_picard():
     script = (
         "import contextlib, io, json, sys\n"

@@ -29,6 +29,7 @@ from ellcover.invariants import (
     evaluate_nls_toda,
     evaluate_sine_gordon,
     family_params,
+    half_period_indices,
     type_square_target,
 )
 from ellcover.picard import nls_sg_class, parity_exceptional_index
@@ -176,6 +177,13 @@ def test_verdict_public_shape():
         v.ok = False
     assert v == Verdict("5.5(1) genus vs type sum", True, 5, 7, False)
     assert len({v, Verdict("5.5(1) genus vs type sum", True, 5, 7)}) == 1
+    assert Verdict._field_defaults == {"informational": False}
+    assert not hasattr(v, "__dict__")
+    assert copy.deepcopy(v) == pickle.loads(pickle.dumps(v)) == v
+    assert type(copy.deepcopy(v)) is type(pickle.loads(pickle.dumps(v))) is Verdict
+    # the tuple constructor the rule catalog builds most verdicts with
+    built = tuple.__new__(Verdict, ("5.5(1) genus vs type sum", True, 5, 7, False))
+    assert built == v and hash(built) == hash(v) and repr(built) == repr(v)
 
 
 def test_enumerated_type_public_shape():
@@ -192,6 +200,11 @@ def test_enumerated_type_public_shape():
     assert t != EnumeratedType(t.gamma, 3, t.verdicts)
     # the verdicts stay out of the repr
     assert repr(t) == "EnumeratedType(gamma=TypeVector(gamma=(2, 1, 1, 1)), g=2)"
+    assert EnumeratedType._field_defaults == {} and not hasattr(t, "__dict__")
+    assert copy.deepcopy(t) == pickle.loads(pickle.dumps(t)) == t
+    assert type(copy.deepcopy(t)) is type(pickle.loads(pickle.dumps(t))) is EnumeratedType
+    # enumerate_types builds its rows with the tuple constructor
+    assert tuple.__new__(EnumeratedType, (t.gamma, 2, t.verdicts)) == same
 
 
 def _assert_immutable(record, field):
@@ -235,6 +248,10 @@ def test_generated_type_public_shape():
     assert t == same and hash(t) == hash(same)
     assert t != GeneratedType(t.gamma, t.n, t.g, t.verdicts[1:])
     _assert_immutable(t, "verdicts")
+    assert GeneratedType._field_defaults == {} and not hasattr(t, "__dict__")
+    assert copy.deepcopy(t) == pickle.loads(pickle.dumps(t)) == t
+    assert type(copy.deepcopy(t)) is type(pickle.loads(pickle.dumps(t))) is GeneratedType
+    assert tuple.__new__(GeneratedType, (t.gamma, 1, 1, t.verdicts)) == same
 
 
 def test_family_spec_public_shape():
@@ -274,8 +291,17 @@ def test_family_params_public_shape():
     (lambda: FamilySpec("6.13", (0, 0, 0, -1)), "alpha: need integers >= 0, got (0, 0, 0, -1)"),
     (lambda: FamilySpec("6.17", (1, 0, 1, 1), j0=1.5),
      "case 6.17 requires j0 in {1, 2, 3}, got 1.5"),
+    (lambda: FamilySpec("6.13", (0, 0, 0, 0), at_half_period="no"),
+     "at_half_period: need a bool, got 'no'"),
+    (lambda: FamilySpec("6.13", (0, 0, 0, 0), at_half_period=[1]),
+     "at_half_period: need a bool, got [1]"),
+    (lambda: FamilySpec("6.13", (0, 0, 0, 0))._replace(at_half_period=1),
+     "at_half_period: need a bool, got 1"),
+    (lambda: FamilySpec("6.13", (0, 0, 0, -1), at_half_period="no"),
+     "alpha: need integers >= 0, got (0, 0, 0, -1)"),
 ], ids=["type-neg", "type-float", "type-short", "cover-float", "cover-g", "cover-n-first",
-        "cover-gamma", "spec-alpha", "spec-j0"])
+        "cover-gamma", "spec-alpha", "spec-j0", "spec-half-str", "spec-half-list",
+        "spec-half-replace", "spec-alpha-before-half"])
 def test_record_error_messages(call, message):
     with pytest.raises(InvalidInvariants) as raised:
         call()
@@ -692,9 +718,17 @@ def test_family_outputs_always_satisfy_their_restriction(alpha, salt):
     (lambda: evaluate_nls_toda(0, -1, (0, 0, 0, 0), Placement.DISTINCT_GENERIC), "n"),
     (lambda: evaluate_nls_toda(0, 2, (0, 0, 0, 0), Placement.DISTINCT_GENERIC), "n"),
     (lambda: evaluate_sine_gordon(4, 2.5, (2, 2, 1, 1), Placement.DISTINCT_HALF_PERIODS), "n, g"),
+    (lambda: evaluate_nls_toda(4, 1, (2, 2, 2, 2), "same-projection"), "placement"),
+    (lambda: evaluate_nls_toda(4, 1, (2, 2, 2, 2), "distinct-half-periods"), "placement"),
+    (lambda: evaluate_sine_gordon(4, 1, (0, 0, 0, 0), "same-projection"), "placement"),
+    (lambda: evaluate_sine_gordon(4, 1, (0, 0, 0, 0), None), "placement"),
+    (lambda: half_period_indices(None, ()), "placement"),
+    (lambda: half_period_indices("same-projection", (0,)), "placement"),
 ], ids=["type-neg", "cover-gamma-half", "cover-n-half", "enum-n-0", "construct-d-half",
         "construct-mu-neg", "construct-d-1", "closed-d-0", "closed-mu-neg", "family-alpha-neg",
-        "nls-n-g", "nls-n-0", "sg-g-half"])
+        "nls-n-g", "nls-n-0", "sg-g-half", "nls-placement-str", "nls-placement-half-str",
+        "sg-placement-str", "sg-placement-none", "indices-placement-none",
+        "indices-placement-str"])
 def test_integer_errors_name_their_input(call, name):
     with pytest.raises(InvalidInvariants) as raised:
         call()

@@ -451,9 +451,12 @@ def test_tilde_genus_of_a_tau_invariant_class():
     (lambda d: 2.5 * d, "k"),
     (lambda d: DivisorClass.from_coefficients(range(9)), "coefficients"),
     (lambda d: TauInvariantClass((1, 2)), "divisor"),
+    (lambda d: nls_sg_class(4, "same-projection", (2, 2, 2, 2), (0,)), "placement"),
+    (lambda d: nls_sg_class(4, None, (2, 2, 2, 2)), "placement"),
 ], ids=["divided-0", "cover-d-0", "cover-gamma-neg", "nls-sg-n-0", "nls-sg-gamma-neg",
         "exceptional-neg", "parity-index-half", "class-a-half", "class-s-short",
-        "class-r-half", "times-half", "from-coefficients-short", "tau-not-a-class"])
+        "class-r-half", "times-half", "from-coefficients-short", "tau-not-a-class",
+        "nls-sg-placement-str", "nls-sg-placement-none"])
 def test_integer_errors_name_their_input(call, name):
     with pytest.raises(InvalidInvariants) as raised:
         call(cover_class(3, 1, 1, (2, 1, 1, 1)))
